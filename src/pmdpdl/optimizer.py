@@ -195,13 +195,11 @@ def extremal_polarization(
     return best_phi % (2.0 * math.pi), sign * best_val
 
 
-def sweep_sphere(
-    spec: NetworkSpec,
-    n_theta: int = SPHERE_THETA_GRID,
-    n_phi: int = SPHERE_PHI_GRID,
-    engine: str = "weak",
-) -> tuple[tuple[float, float, float], ...]:
-    """Full-sphere sweep: rows of (theta, phi, mean_time), NaN where blocked."""
+def _sphere_grid(
+    spec: NetworkSpec, n_theta: int, n_phi: int, engine: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean times over the sphere grid: (thetas, phis, values), with values
+    of shape (n_theta, n_phi) and NaN where blocked."""
     if n_theta < 2 or n_phi < 2:
         raise ValueError("sphere grid needs at least 2 points per angle")
     thetas = np.linspace(0.0, math.pi, n_theta)
@@ -220,11 +218,24 @@ def sweep_sphere(
         for i, theta in enumerate(thetas):
             for j, phi in enumerate(phis):
                 values[i, j] = evaluate(jones_from_angles(float(theta), float(phi)))
-    rows = []
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            rows.append((float(theta), float(phi), float(values[i, j])))
-    return tuple(rows)
+    return thetas, phis, values
+
+
+def sweep_sphere(
+    spec: NetworkSpec,
+    n_theta: int = SPHERE_THETA_GRID,
+    n_phi: int = SPHERE_PHI_GRID,
+    engine: str = "weak",
+) -> tuple[tuple[float, float, float], ...]:
+    """Full-sphere sweep: rows of (theta, phi, mean_time), NaN where blocked."""
+    thetas, phis, values = _sphere_grid(spec, n_theta, n_phi, engine)
+    return tuple(
+        zip(
+            np.repeat(thetas, n_phi).tolist(),
+            np.tile(phis, n_theta).tolist(),
+            values.ravel().tolist(),
+        )
+    )
 
 
 def extremal_sphere(
@@ -250,9 +261,11 @@ def extremal_sphere(
         value = evaluate(jones_from_angles(theta, phi))
         return -math.inf if math.isnan(value) else sign * value
 
-    rows = sweep_sphere(spec, n_theta, n_phi, engine)
-    best = max(rows, key=lambda row: -math.inf if math.isnan(row[2]) else sign * row[2])
-    theta, phi, value = best
+    thetas, phis, values = _sphere_grid(spec, n_theta, n_phi, engine)
+    # First maximum wins; blocked (NaN) cells never do.
+    best = int(np.argmax(np.where(np.isnan(values), -np.inf, sign * values)))
+    i, j = divmod(best, n_phi)
+    theta, phi, value = float(thetas[i]), float(phis[j]), float(values[i, j])
     if math.isnan(value):
         raise NearZeroTransmissionError("every sphere polarization is blocked")
     if refine:

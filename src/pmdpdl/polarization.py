@@ -21,6 +21,10 @@ HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-12
 
 _LN10 = math.log(10.0)
+# Axis norms outside this range come from squares that overflowed or lost
+# precision to underflow.
+_SAFE_NORM_MIN = 1e-150
+_SAFE_NORM_MAX = 1e150
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -82,15 +86,21 @@ class Axis3:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        x, y, z = self.x, self.y, self.z
+        n = math.sqrt(x * x + y * y + z * z)
+        if not _SAFE_NORM_MIN < n < _SAFE_NORM_MAX:
+            # The squares overflow or underflow: scale by the largest
+            # component, then take the norm with hypot.
+            m = max(abs(x), abs(y), abs(z))
+            if 0.0 < m < math.inf:
+                x, y, z = x / m, y / m, z / m
+            n = math.hypot(x, y, z)
         if n == 0.0:
             raise ZeroVectorError("axis must be a nonzero 3-vector")
         if not math.isfinite(n):
             raise ValueError("axis components must be finite")
-        if n != 1.0:
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
+        for name, value in zip("xyz", (x, y, z)):
+            object.__setattr__(self, name, value / n)
 
     def negated(self) -> "Axis3":
         return Axis3(-self.x, -self.y, -self.z)

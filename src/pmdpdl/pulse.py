@@ -31,6 +31,13 @@ NEAR_ZERO_NORM_SQ = 1e-12
 DEFAULT_PRUNE_TOL = 1e-12
 # Delays closer than this (times t_c) are treated as coincident and merged.
 _MERGE_DELAY_FACTOR = 1e-15
+# Within these bounds on t_c and on the delay span over t_c, the overlap
+# exponent d^2 / (8 t_c^2) cannot overflow and is computed as written.
+# Beyond the span bound every overlap is 0 anyway.
+_PLAIN_TC_MIN = 1e-100
+_PLAIN_TC_MAX = 1e100
+_PLAIN_SPAN_MAX = 1e40
+_TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,25 @@ class GaussianSumState:
     terms: tuple[Term, ...]
 
 
+def _overlap_exponent(d, span: float, t_c: float):
+    """(d / (2 sqrt2 t_c))^2 for delay differences d: a float, or an array
+    whose entries are at most span in magnitude.
+
+    Outside the plain bounds d is scaled before squaring; a square that
+    overflows is inf, so its overlap exp(-inf) is 0, with no warning.
+    """
+    if _PLAIN_TC_MIN <= t_c <= _PLAIN_TC_MAX and span <= _PLAIN_SPAN_MAX * t_c:
+        return (d * d) / (8.0 * t_c * t_c)
+    with np.errstate(over="ignore"):
+        s = d / t_c / _TWO_SQRT2
+        return s * s
+
+
 def gaussian_overlap(delay_a: float, delay_b: float, t_c: float) -> float:
     """Overlap of two unit-norm envelope amplitudes centered at the given
     delays: exp(-(a-b)^2 / (8 t_c^2))."""
     d = delay_a - delay_b
-    return math.exp(-(d * d) / (8.0 * t_c * t_c))
+    return math.exp(-_overlap_exponent(d, abs(d), t_c))
 
 
 def initial_state(pulse: PulseSpec, psi: JonesVector) -> GaussianSumState:
@@ -128,11 +149,12 @@ def _pairwise_moments(state: GaussianSumState) -> tuple[float, float]:
     if not state.terms:
         return 0.0, 0.0
     t_c = state.pulse.t_c
-    d = np.array([t.delay for t in state.terms])
+    delays = [t.delay for t in state.terms]
+    d = np.array(delays)
     a = np.array([[t.amp.h, t.amp.v] for t in state.terms], dtype=complex)
     gram = np.real(a.conj() @ a.T)
     dd = d[:, None] - d[None, :]
-    weights = gram * np.exp(-(dd * dd) / (8.0 * t_c * t_c))
+    weights = gram * np.exp(-_overlap_exponent(dd, max(delays) - min(delays), t_c))
     norm_sq = float(weights.sum())
     moment = float(0.5 * (weights * (d[:, None] + d[None, :])).sum())
     return norm_sq, moment

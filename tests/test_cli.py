@@ -1,10 +1,20 @@
+import hashlib
 import io
 import json
+import math
 
 import pytest
 
 from pmdpdl import cli
-from pmdpdl import optimize_arrangement, parse_network, run_weak
+from pmdpdl import (
+    intensity_profile,
+    optimize_arrangement,
+    parse_network,
+    run_exact,
+    run_weak,
+    sweep_polarization,
+    sweep_sphere,
+)
 
 MINIMAL = "pulse tc=1.0\ninput theta=0.0 phi=0.0\n"
 SINGLE_PMD = MINIMAL + "pmd axis=0,0,1 dgd=0.5\n"
@@ -12,6 +22,12 @@ FIVE_ELEMENT = (
     "pulse tc=100.0\ninput theta=0.9 phi=0.0\n"
     "pmd axis=0,0,1 dgd=1\npdl axis=1,0,0 mu=1\n"
     "pmd axis=0,0,1 dgd=1\npdl axis=1,0,0 mu=1\npmd axis=0,0,1 dgd=1\n"
+)
+# The leading polarizer passes |H> only, so the |V> input (theta = pi on the
+# sphere, phi = pi on the linear sweep) is blocked and its rows print nan.
+BLOCKING = (
+    "pulse tc=1.0 omega0=0.7\ninput theta=0.0 phi=0.0\npolarizer theta=0 phi=0\n"
+    "pmd axis=0.3,-0.5,0.8 dgd=0.4\npdl axis=0,0,1 mu=0.6\npmd axis=1,0,0 dgd=0.2\n"
 )
 
 
@@ -280,3 +296,99 @@ class TestUsage:
     def test_optimize_without_elements(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "optimize", write(tmp_path, MINIMAL))
         assert code == 4
+
+
+def fmt(value) -> str:
+    return format(value, ".17g")
+
+
+def old_layout(header: str, rows) -> str:
+    """CSV text in the one-line-per-row layout, one fmt() call per value."""
+    return header + "\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+
+
+class TestCsvBytes:
+    """Every CSV equals the per-row layout rebuilt from the library results,
+    byte for byte."""
+
+    def test_linear_sweep_weak(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "sweep", write(tmp_path, FIVE_ELEMENT), "--grid", "50")
+        rows = sweep_polarization(parse_network(FIVE_ELEMENT), 50).rows
+        assert code == 0
+        assert out == old_layout("phi,t_weak", [(r.phi, r.t_weak) for r in rows])
+
+    def test_linear_sweep_exact(self, tmp_path, capsys):
+        path = write(tmp_path, BLOCKING)
+        code, out, _ = run_cli(capsys, "sweep", path, "--grid", "8", "--engine", "exact")
+        rows = sweep_polarization(parse_network(BLOCKING), 8, include_exact=True).rows
+        assert code == 0
+        assert out == old_layout("phi,t_weak,t_exact", [(r.phi, r.t_weak, r.t_exact) for r in rows])
+        assert out.count("nan,nan") == 1
+
+    def test_sphere_weak_with_blocked_rows(self, tmp_path, capsys):
+        path = write(tmp_path, BLOCKING)
+        code, out, _ = run_cli(capsys, "sweep", path, "--sphere", "--theta-grid", "9", "--grid", "12")
+        rows = sweep_sphere(parse_network(BLOCKING), 9, 12, engine="weak")
+        assert code == 0
+        assert out == old_layout("theta,phi,t_weak", rows)
+        assert sum(math.isnan(row[2]) for row in rows) == 12
+
+    def test_sphere_exact(self, tmp_path, capsys):
+        path = write(tmp_path, BLOCKING)
+        code, out, _ = run_cli(
+            capsys, "sweep", path, "--sphere", "--engine", "exact", "--theta-grid", "3", "--grid", "4"
+        )
+        rows = sweep_sphere(parse_network(BLOCKING), 3, 4, engine="exact")
+        assert code == 0
+        assert out == old_layout("theta,phi,t_exact", rows)
+        assert "nan" in out
+
+    def test_simulate_intensity(self, tmp_path, capsys):
+        path = write(tmp_path, BLOCKING)
+        code, out, _ = run_cli(capsys, "simulate", path, "--intensity", "--points", "101")
+        grid, values = intensity_profile(run_exact(parse_network(BLOCKING)).state, n_points=101)
+        assert code == 0
+        assert out == old_layout("t,intensity", zip(grid, values))
+
+    def test_weak_shift_table(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "weak", write(tmp_path, FIVE_ELEMENT))
+        result = run_weak(parse_network(FIVE_ELEMENT))
+        digest = hashlib.sha256(FIVE_ELEMENT.encode("utf-8")).hexdigest()
+        kinds = ["pmd", "pdl", "pmd", "pdl", "pmd"]
+        expected = (
+            f"engine = weak\nmean_time = {fmt(result.mean_time)}\n"
+            f"transmission = {fmt(result.norm_sq)}\ninput_digest = sha256:{digest}\n"
+            "index,kind,shift\n"
+            + "".join(
+                f"{i + 1},{kind},{fmt(shift)}\n"
+                for i, (kind, shift) in enumerate(zip(kinds, result.per_element_shifts))
+            )
+        )
+        assert code == 0
+        assert out == expected
+
+    def test_weak_shift_table_without_elements(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "weak", write(tmp_path, MINIMAL))
+        assert code == 0
+        assert out.endswith("input_digest = sha256:"
+                            + hashlib.sha256(MINIMAL.encode("utf-8")).hexdigest()
+                            + "\nindex,kind,shift\n")
+
+
+class TestExtremeInputs:
+    def test_huge_axis_components_match_unit_axis(self, tmp_path, capsys):
+        outs = []
+        for axis in ("1e200,0,0", "1,0,0"):
+            text = MINIMAL + f"pmd axis={axis} dgd=0.5\npdl axis=0,1,1 mu=0.4\n"
+            code, out, err = run_cli(capsys, "sweep", write(tmp_path, text), "--grid", "16")
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_tiny_coherence_time_is_strong_limit(self, tmp_path, capsys):
+        text = "pulse tc=1e-300\ninput theta=0.3 phi=0\npmd axis=0,0,1 dgd=1\n"
+        code, out, err = run_cli(capsys, "simulate", write(tmp_path, text), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["transmission"] == pytest.approx(1.0, abs=1e-15)
+        assert payload["mean_time"] == pytest.approx(0.4776682445628030, rel=1e-15)

@@ -73,6 +73,16 @@ class TestParseNetwork:
         el = parse_network(text).elements[0]
         assert (el.axis.x, el.axis.y, el.axis.z) == pytest.approx((0.6, 0.0, 0.8))
 
+    def test_huge_and_tiny_axis_components_normalize(self):
+        # x*x overflows at 1e200 and underflows at 1e-200; both must still
+        # parse to the unit axis, the same as axis=1,0,0.
+        base = parse_network("pulse tc=1\ninput theta=0 phi=0\npmd axis=1,0,0 dgd=0.5\n")
+        for token in ("1e200,0,0", "1e-200,0,0", "1.5e308,0,0"):
+            text = f"pulse tc=1\ninput theta=0 phi=0\npmd axis={token} dgd=0.5\n"
+            spec = parse_network(text)
+            assert spec == base
+            assert serialize_network(spec) == serialize_network(base)
+
     def test_input_amplitude_form(self):
         text = "pulse tc=1\ninput h=1,0 v=0,1\npmd axis=0,0,1 dgd=1\n"
         spec = parse_network(text)

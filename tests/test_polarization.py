@@ -74,6 +74,17 @@ class TestAxis3:
         with pytest.raises(ValueError):
             Axis3(math.inf, 0.0, 0.0)
 
+    def test_extreme_magnitudes_normalize(self):
+        for scale in (1e200, 1e300, 1e-200, 5e-324):
+            a = Axis3(3.0 * scale, 0.0, 4.0 * scale)
+            assert (a.x, a.y, a.z) == pytest.approx((0.6, 0.0, 0.8), abs=1e-15)
+        big = Axis3(1.5e308, 1.5e308, 0.0)
+        assert (big.x, big.y, big.z) == pytest.approx((math.sqrt(0.5), math.sqrt(0.5), 0.0))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Axis3(math.nan, 1.0, 0.0)
+
     def test_unit_norm_random(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

@@ -23,6 +23,7 @@ from pmdpdl import (
     jones_from_angles,
     mean_time,
     minus_eigenstate,
+    parse_network,
     plus_eigenstate,
     project_pure,
     prune,
@@ -305,6 +306,43 @@ class TestOverlapLaw:
             d = sorted(t.delay for t in s.terms)
             got = gaussian_overlap(d[0], d[1], PULSE.t_c)
             assert abs(got - math.exp(-0.5 * (ratio / 2) ** 2)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExtremeScales:
+    """Delays far beyond t_c, or t_c near the float limits, give the strong
+    or weak limit with no numpy warning (warnings fail these tests)."""
+
+    @staticmethod
+    def run(t_c: str, dgd: str):
+        text = f"pulse tc={t_c}\ninput theta=0.3 phi=0\npmd axis=0,0,1 dgd={dgd}\n"
+        return run_exact(parse_network(text))
+
+    def test_overlap_limits(self):
+        assert gaussian_overlap(1e300, -1e300, 1.0) == 0.0
+        assert gaussian_overlap(0.5, -0.5, 1e-300) == 0.0
+        assert gaussian_overlap(0.5, -0.5, 5e-324) == 0.0
+        assert gaussian_overlap(0.5, 0.5, 1e-300) == 1.0
+        assert gaussian_overlap(1e200, -1e200, 1e200) == pytest.approx(math.exp(-0.5), rel=1e-15)
+
+    def test_strong_limit_at_tiny_coherence_time(self):
+        # dgd/tc ~ 1e300: the two eigen-pulses never overlap, nothing is
+        # lost, and the mean time is the outcome average 0.5 cos(theta).
+        for t_c in ("1e-300", "5e-324"):
+            result = self.run(t_c, "1")
+            assert result.transmission == pytest.approx(1.0, abs=1e-15)
+            assert result.mean_time == pytest.approx(0.5 * math.cos(0.3), rel=1e-15)
+
+    def test_strong_limit_at_huge_dgd(self):
+        result = self.run("1", "1e300")
+        assert result.transmission == pytest.approx(1.0, abs=1e-15)
+        assert result.mean_time == pytest.approx(0.5e300 * math.cos(0.3), rel=1e-15)
+
+    def test_scale_invariance_at_huge_scales(self):
+        unit = self.run("1", "0.7")
+        scaled = self.run("1e200", "0.7e200")
+        assert scaled.transmission == pytest.approx(unit.transmission, rel=1e-14)
+        assert scaled.mean_time == pytest.approx(unit.mean_time * 1e200, rel=1e-14)
 
 
 class TestQuadratureOracle:
