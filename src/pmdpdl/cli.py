@@ -30,7 +30,6 @@ from .network import (
     run_weak,
     with_scaled_dgd,
 )
-from .elements import Pdl, Pmd, Polarizer
 from .optimizer import (
     DEFAULT_GRID,
     SPHERE_PHI_GRID,
@@ -133,16 +132,6 @@ def _report_dict(report: RunReport) -> dict:
     }
 
 
-def _element_kind(element) -> str:
-    if isinstance(element, Pmd):
-        return "pmd"
-    if isinstance(element, Pdl):
-        return "pdl"
-    if isinstance(element, Polarizer):
-        return "polarizer"
-    return "unknown"
-
-
 def cmd_simulate(args) -> int:
     spec, digest = _read_network(args.file)
     result = run_exact(spec)
@@ -165,7 +154,7 @@ def cmd_weak(args) -> int:
         result.mean_time, result.norm_sq, "weak", _weakness_warnings(spec), digest
     )
     shifts = [
-        {"index": i + 1, "kind": _element_kind(el), "shift": result.per_element_shifts[i]}
+        {"index": i + 1, "kind": el.directive, "shift": result.per_element_shifts[i]}
         for i, el in enumerate(spec.elements)
     ]
     if args.json:
@@ -250,9 +239,7 @@ def cmd_validate(args) -> int:
     if not ratios or any(r <= 0 for r in ratios):
         print(f"--ratios must be positive numbers, got {args.ratios!r}", file=sys.stderr)
         return EXIT_USAGE
-    max_dgd = max(
-        (el.dgd for el in spec.elements if isinstance(el, Pmd)), default=0.0
-    )
+    max_dgd = max((el.delay for el in spec.elements), default=0.0)
     violated = False
     print("ratio,discrepancy,bound")
     for ratio in ratios:
@@ -263,7 +250,7 @@ def cmd_validate(args) -> int:
             scaled = spec
         exact = run_exact(scaled).mean_time
         weak = run_weak(scaled).mean_time
-        total_dgd = sum(el.dgd for el in scaled.elements if isinstance(el, Pmd))
+        total_dgd = sum(el.delay for el in scaled.elements)
         worst = max_weakness_ratio(scaled)
         bound = args.bound_factor * total_dgd * worst * worst
         discrepancy = abs(exact - weak)

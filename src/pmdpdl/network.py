@@ -25,12 +25,10 @@ from .polarization import (
     Axis3,
     JonesVector,
     axis_from_angles,
-    jones_angles,
     jones_from_angles,
     mu_from_db,
 )
 from .pulse import (
-    DEFAULT_PRUNE_TOL,
     GaussianSumState,
     PulseSpec,
     apply_pdl,
@@ -67,7 +65,7 @@ class ExactResult:
     state: GaussianSumState
 
 
-_ELEMENT_DIRECTIVES = ("pmd", "pdl", "polarizer")
+_ELEMENT_KINDS = {kind.directive: kind for kind in (Pmd, Pdl, Polarizer)}
 
 
 def _parse_number(line_no: int, token: str, key: str) -> float:
@@ -217,7 +215,7 @@ def parse_network(text: str) -> NetworkSpec:
             if directive != "input":
                 raise ParseError(line_no, directive, "expected 'input' as the second directive")
             input_state = _parse_input(line_no, fields)
-        elif directive in _ELEMENT_DIRECTIVES:
+        elif directive in _ELEMENT_KINDS:
             elements.append(_parse_element(line_no, directive, fields))
         elif directive in ("pulse", "input"):
             raise ParseError(line_no, directive, f"duplicate {directive!r} directive")
@@ -235,11 +233,15 @@ def _fmt(value: float) -> str:
 
 
 def serialize_network(spec: NetworkSpec) -> str:
-    """Canonical text form; parse_network() inverts it exactly.
+    """Canonical text form, which parse_network() reads back as the same chain.
 
     Axes are written as 3-vectors before the magnitude field, attenuation
     always in natural units (never dB), the input state in amplitude form
     and polarizers as Poincare angles (their global phase is not physical).
+    The round trip is exact for the pulse, element kinds, dgd and mu, but
+    not bit-exact for the rest: normalizing an axis or state that is
+    already unit can move its last bit, and polarizers rebuilt from their
+    angles agree to within a few ulps.
     """
     lines = [f"pulse tc={_fmt(spec.pulse.t_c)} omega0={_fmt(spec.pulse.omega0)}"]
     h, v = complex(spec.input.h), complex(spec.input.v)
@@ -247,19 +249,8 @@ def serialize_network(spec: NetworkSpec) -> str:
         f"input h={_fmt(h.real)},{_fmt(h.imag)} v={_fmt(v.real)},{_fmt(v.imag)}"
     )
     for element in spec.elements:
-        if isinstance(element, Pmd):
-            a = element.axis
-            lines.append(
-                f"pmd axis={_fmt(a.x)},{_fmt(a.y)},{_fmt(a.z)} dgd={_fmt(element.dgd)}"
-            )
-        elif isinstance(element, Pdl):
-            a = element.axis
-            lines.append(
-                f"pdl axis={_fmt(a.x)},{_fmt(a.y)},{_fmt(a.z)} mu={_fmt(element.mu)}"
-            )
-        else:
-            theta, phi = jones_angles(element.state)
-            lines.append(f"polarizer theta={_fmt(theta)} phi={_fmt(phi)}")
+        fields = [f"{key}={','.join(map(_fmt, values))}" for key, values in element.text_fields()]
+        lines.append(" ".join([element.directive, *fields]))
     return "\n".join(lines) + "\n"
 
 
@@ -274,11 +265,12 @@ def apply_element(state: GaussianSumState, element: Element) -> GaussianSumState
     raise TypeError(f"not a network element: {element!r}")
 
 
-def run_exact(spec: NetworkSpec, prune_tol: float = DEFAULT_PRUNE_TOL) -> ExactResult:
-    """Propagate through the chain exactly and report observables."""
+def run_exact(spec: NetworkSpec) -> ExactResult:
+    """Propagate through the chain exactly and report observables. After
+    each element coincident delays are merged; no term is ever dropped."""
     state = initial_state(spec.pulse, spec.input)
     for element in spec.elements:
-        state = prune(apply_element(state, element), prune_tol)
+        state = prune(apply_element(state, element))
     return ExactResult(mean_time(state), transmission(state), state)
 
 
@@ -293,16 +285,15 @@ def max_weakness_ratio(spec: NetworkSpec) -> float:
     The weak engine is a first-order result in this ratio, so values near or
     above 1 mean its output is qualitative only.
     """
-    ratios = [el.dgd / spec.pulse.t_c for el in spec.elements if isinstance(el, Pmd)]
-    return max(ratios, default=0.0)
+    return max((el.delay / spec.pulse.t_c for el in spec.elements), default=0.0)
 
 
 def with_scaled_dgd(spec: NetworkSpec, factor: float) -> NetworkSpec:
     """Copy of the spec with every delay element's dgd multiplied by factor."""
     if factor < 0:
         raise ValueError(f"scale factor must be >= 0, got {factor!r}")
+    # Only a delay section has a nonzero delay, and its delay is its dgd.
     scaled = tuple(
-        Pmd(el.axis, el.dgd * factor) if isinstance(el, Pmd) else el
-        for el in spec.elements
+        replace(el, dgd=el.delay * factor) if el.delay else el for el in spec.elements
     )
     return replace(spec, elements=scaled)

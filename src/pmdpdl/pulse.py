@@ -27,8 +27,6 @@ from .polarization import (
 
 # Below this fraction of a unit-norm input the arrival time has no meaning.
 NEAR_ZERO_NORM_SQ = 1e-12
-# Default relative weight under which prune() drops a term.
-DEFAULT_PRUNE_TOL = 1e-12
 # Delays closer than this (times t_c) are treated as coincident and merged.
 _MERGE_DELAY_FACTOR = 1e-15
 # Within these bounds on t_c and on the delay span over t_c, the overlap
@@ -215,15 +213,11 @@ def intensity_profile(
     return grid, intensity(state, grid)
 
 
-def prune(state: GaussianSumState, tol: float = DEFAULT_PRUNE_TOL) -> GaussianSumState:
-    """Merge coincident delays and drop negligible terms.
+def prune(state: GaussianSumState) -> GaussianSumState:
+    """Merge terms whose delays differ by less than 1e-15 t_c into one.
 
-    Terms whose delays differ by less than 1e-15 t_c are summed into one;
-    terms whose own norm^2 falls below tol times the state's total norm^2
-    are dropped. tol = 0 merges only.
+    No term is dropped; a merged term moves by less than 1e-15 t_c.
     """
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must be in [0, 1), got {tol!r}")
     if not state.terms:
         return state
     eps = _MERGE_DELAY_FACTOR * state.pulse.t_c
@@ -235,8 +229,4 @@ def prune(state: GaussianSumState, tol: float = DEFAULT_PRUNE_TOL) -> GaussianSu
             merged[-1] = Term(last.delay, last.amp.plus(term.amp))
         else:
             merged.append(term)
-    if tol > 0.0:
-        total = transmission(GaussianSumState(state.pulse, tuple(merged)))
-        cut = tol * total
-        merged = [term for term in merged if term.amp.norm_sq >= cut]
     return GaussianSumState(state.pulse, tuple(merged))

@@ -249,7 +249,7 @@ class TestPrune:
         state = GaussianSumState(
             PULSE, (Term(0.3, JonesVector(1, 0)), Term(0.3, JonesVector(0, 1)))
         )
-        merged = prune(state, 0.0)
+        merged = prune(state)
         assert len(merged.terms) == 1
         assert merged.terms[0].amp == JonesVector(1, 1)
 
@@ -257,26 +257,10 @@ class TestPrune:
         rng = np.random.default_rng(26)
         for _ in range(10):
             spec = random_strong_network(rng)
-            state = run_exact(spec, prune_tol=0.0).state
-            pruned = prune(state, 0.0)
+            state = run_exact(spec).state
+            pruned = prune(state)
             assert mean_time(pruned) == pytest.approx(mean_time(state), rel=1e-13, abs=1e-13)
             assert transmission(pruned) == pytest.approx(transmission(state), rel=1e-13)
-
-    def test_drops_negligible_terms(self):
-        state = GaussianSumState(
-            PULSE, (Term(0.0, JonesVector(1.0, 0.0)), Term(2.0, JonesVector(1e-15, 0.0)))
-        )
-        before = mean_time(state)
-        pruned = prune(state, 1e-12)
-        assert len(pruned.terms) == 1
-        assert abs(mean_time(pruned) - before) < 1e-12
-
-    def test_rejects_bad_tol(self):
-        state = initial_state(PULSE, JONES_H)
-        with pytest.raises(ValueError):
-            prune(state, -0.1)
-        with pytest.raises(ValueError):
-            prune(state, 1.0)
 
 
 class TestOverlapLaw:
@@ -366,7 +350,7 @@ class TestStructuralInvariants:
             psi = random_state(rng)
             split = apply_pmd(apply_pmd(initial_state(pulse, psi), n, d1), n, d2)
             joined = apply_pmd(initial_state(pulse, psi), n, d1 + d2)
-            split = prune(split, 0.0)
+            split = prune(split)
             assert mean_time(split) == pytest.approx(mean_time(joined), rel=1e-12, abs=1e-12)
             assert transmission(split) == pytest.approx(transmission(joined), rel=1e-12)
 
