@@ -17,6 +17,7 @@ every rejection names the 1-based line number and the offending token.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .elements import Element, Pdl, Pmd, Polarizer
@@ -66,6 +67,9 @@ class ExactResult:
 
 
 _ELEMENT_KINDS = {kind.directive: kind for kind in (Pmd, Pdl, Polarizer)}
+# An attenuation filter's operator has entries up to e^{mu/2}, which stay
+# finite up to this mu.
+_MAX_MU = 2.0 * math.log(sys.float_info.max)
 
 
 def _parse_number(line_no: int, token: str, key: str) -> float:
@@ -161,30 +165,40 @@ def _parse_input(line_no: int, fields: dict[str, str]) -> JonesVector:
     if has_amp:
         h_re, h_im = _parse_pair(line_no, _require(line_no, "input", fields, "h"), "h")
         v_re, v_im = _parse_pair(line_no, _require(line_no, "input", fields, "v"), "v")
-        state = JonesVector(complex(h_re, h_im), complex(v_re, v_im))
-        if state.norm_sq == 0.0:
-            raise ParseError(line_no, f"{fields['h']} {fields['v']}", "input state must be nonzero")
-        return state.normalized()
+        try:
+            return JonesVector(complex(h_re, h_im), complex(v_re, v_im)).normalized()
+        except ZeroVectorError:
+            raise ParseError(
+                line_no, f"{fields['h']} {fields['v']}", "input state must be nonzero"
+            ) from None
     theta = _parse_number(line_no, _require(line_no, "input", fields, "theta"), "theta")
     phi = _parse_number(line_no, _require(line_no, "input", fields, "phi"), "phi")
     return jones_from_angles(theta, phi)
 
 
-def _parse_element(line_no: int, directive: str, fields: dict[str, str]) -> Element:
+def _parse_element(
+    line_no: int, directive: str, fields: dict[str, str], omega0: float
+) -> Element:
     if directive == "pmd":
         _reject_unknown(line_no, "pmd", fields, {"axis", "theta", "phi", "dgd"})
         axis = _parse_axis(line_no, "pmd", fields)
         dgd = _parse_nonnegative(line_no, fields, "dgd", "pmd")
+        if not math.isfinite(omega0 * dgd):
+            raise ParseError(line_no, fields["dgd"], "carrier phase omega0*dgd/2 is not finite")
         return Pmd(axis, dgd)
     if directive == "pdl":
         _reject_unknown(line_no, "pdl", fields, {"axis", "theta", "phi", "mu", "db"})
         axis = _parse_axis(line_no, "pdl", fields)
         if "mu" in fields and "db" in fields:
             raise ParseError(line_no, fields["db"], "'mu' and 'db' are mutually exclusive")
-        if "db" in fields:
-            mu = mu_from_db(_parse_nonnegative(line_no, fields, "db", "pdl"))
-        else:
-            mu = _parse_nonnegative(line_no, fields, "mu", "pdl")
+        key = "db" if "db" in fields else "mu"
+        mu = _parse_nonnegative(line_no, fields, key, "pdl")
+        if key == "db":
+            mu = mu_from_db(mu)
+        if not mu <= _MAX_MU:
+            raise ParseError(
+                line_no, fields[key], f"attenuation too large: mu must be <= {_MAX_MU!r}"
+            )
         return Pdl(axis, mu)
     # polarizer
     _reject_unknown(line_no, "polarizer", fields, {"theta", "phi"})
@@ -216,7 +230,7 @@ def parse_network(text: str) -> NetworkSpec:
                 raise ParseError(line_no, directive, "expected 'input' as the second directive")
             input_state = _parse_input(line_no, fields)
         elif directive in _ELEMENT_KINDS:
-            elements.append(_parse_element(line_no, directive, fields))
+            elements.append(_parse_element(line_no, directive, fields, pulse.omega0))
         elif directive in ("pulse", "input"):
             raise ParseError(line_no, directive, f"duplicate {directive!r} directive")
         else:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elements import Element, Pdl, Pmd
 from .errors import NearZeroTransmissionError, TooManyElementsError
 from .network import NetworkSpec, run_exact
-from .polarization import AXIS_X, AXIS_Z, JonesVector, jones_from_angles
+from .polarization import AXIS_X, AXIS_Z, jones_from_angles
 from .pulse import NEAR_ZERO_NORM_SQ, PulseSpec
 from .weak import shift_quadratic_forms
 
@@ -25,6 +25,7 @@ DEFAULT_GRID = 721
 SPHERE_THETA_GRID = 181
 SPHERE_PHI_GRID = 361
 MAX_ARRANGEMENT_ELEMENTS = 8
+SPHERE_REFINE_ROUNDS = 8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -44,14 +45,14 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
-    def extremum(self, objective: str = "max", column: str = "weak") -> tuple[float, float]:
-        """(phi, value) of the extremal unblocked row."""
-        pick = {"weak": lambda r: r.t_weak, "exact": lambda r: r.t_exact}[column]
-        rows = [r for r in self.rows if not r.blocked and pick(r) is not None]
-        if not rows:
+    def extremum(self, objective: str = "max") -> tuple[float, float]:
+        """(phi, t_weak) of the extremal unblocked row; the first one wins a tie."""
+        _check_objective(objective)
+        times = np.array([math.nan if r.blocked else r.t_weak for r in self.rows])
+        best = _best_index(times, objective)
+        if best is None:
             raise NearZeroTransmissionError("every sweep row is blocked")
-        best = (max if objective == "max" else min)(rows, key=pick)
-        return best.phi, pick(best)
+        return self.rows[best].phi, self.rows[best].t_weak
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,19 @@ class GroupedVsInterleaved:
     ratio: float
 
 
-def _linear_states(phis: np.ndarray) -> np.ndarray:
-    """Linear polarizations cos(phi/2)|H> + sin(phi/2)|V> as an (n, 2) array."""
-    half = 0.5 * phis
-    return np.stack([np.cos(half), np.sin(half)], axis=1).astype(complex)
+def _check_objective(objective: str) -> None:
+    if objective not in ("max", "min"):
+        raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
+
+
+def _best_index(values: np.ndarray, objective: str) -> int | None:
+    """Index of the first largest (max) or smallest (min) value; NaN never
+    wins, and None means there is no value that is not NaN."""
+    usable = ~np.isnan(values)
+    if not usable.any():
+        return None
+    signed = values if objective == "max" else -values
+    return int(np.argmax(np.where(usable, signed, -np.inf)))
 
 
 def _weak_values_on_states(
@@ -97,26 +107,43 @@ def _weak_values_on_states(
     return times, blocked
 
 
-def _exact_eval(spec: NetworkSpec, state: JonesVector) -> float:
-    try:
-        return run_exact(replace(spec, input=state)).mean_time
-    except NearZeroTransmissionError:
-        return math.nan
+def _grid_times(chains, pulse: PulseSpec, thetas: np.ndarray, phis: np.ndarray, engine: str):
+    """Mean times of each chain at the Poincare points (thetas[k], phis[k]).
 
-
-def _weak_eval(spec: NetworkSpec, state: JonesVector) -> float:
-    times, _ = _weak_values_on_states(
-        spec.elements, spec.pulse.omega0, state.as_array()[None, :]
-    )
-    return float(times[0])
-
-
-def _evaluator(spec: NetworkSpec, engine: str):
+    Yields one array per chain, NaN where the point is blocked. The grid's
+    input states are built once for all the chains. Linear polarizations are
+    the points at phi = 0.
+    """
     if engine == "weak":
-        return lambda state: _weak_eval(spec, state)
-    if engine == "exact":
-        return lambda state: _exact_eval(spec, state)
-    raise ValueError(f"unknown engine {engine!r}")
+        half = 0.5 * thetas
+        states = np.stack([np.cos(half), np.sin(half) * np.exp(1j * phis)], axis=1)
+        for elements in chains:
+            yield _weak_values_on_states(elements, pulse.omega0, states)[0]
+    elif engine == "exact":
+        states = [jones_from_angles(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
+        for elements in chains:
+            times = np.empty(len(states))
+            for k, state in enumerate(states):
+                try:
+                    times[k] = run_exact(NetworkSpec(pulse, state, elements)).mean_time
+                except NearZeroTransmissionError:
+                    times[k] = math.nan
+            yield times
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+
+
+def _signed_time(spec: NetworkSpec, engine: str, sign: float, theta: float, phi: float) -> float:
+    """sign times the mean time at one Poincare point; -inf where blocked, so
+    that a blocked point never wins a maximization."""
+    (value,) = next(
+        _grid_times((spec.elements,), spec.pulse, np.array([theta]), np.array([phi]), engine)
+    )
+    return -math.inf if math.isnan(value) else sign * float(value)
+
+
+def _linear_grid(grid_size: int) -> np.ndarray:
+    return np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
 
 
 def sweep_polarization(
@@ -128,17 +155,17 @@ def sweep_polarization(
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
-    phis = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    times, blocked = _weak_values_on_states(
-        spec.elements, spec.pulse.omega0, _linear_states(phis)
-    )
-    rows = []
-    for i, phi in enumerate(phis):
-        t_exact = None
-        if include_exact:
-            t_exact = _exact_eval(spec, jones_from_angles(float(phi), 0.0))
-        is_blocked = bool(blocked[i]) or (t_exact is not None and math.isnan(t_exact))
-        rows.append(SweepRow(float(phi), float(times[i]), t_exact, is_blocked))
+    phis = _linear_grid(grid_size)
+    zeros = np.zeros(grid_size)
+    chain = (spec.elements,)
+    t_weak = next(_grid_times(chain, spec.pulse, phis, zeros, "weak")).tolist()
+    t_exact = [None] * grid_size
+    if include_exact:
+        t_exact = next(_grid_times(chain, spec.pulse, phis, zeros, "exact")).tolist()
+    rows = [
+        SweepRow(phi, weak, exact, math.isnan(weak) or (exact is not None and math.isnan(exact)))
+        for phi, weak, exact in zip(phis.tolist(), t_weak, t_exact)
+    ]
     return SweepResult(tuple(rows))
 
 
@@ -165,33 +192,26 @@ def extremal_polarization(
     grid_size: int = DEFAULT_GRID,
     objective: str = "max",
     engine: str = "weak",
-    refine: bool = True,
 ) -> tuple[float, float]:
     """(phi, value) of the extremal mean time over linear polarizations.
 
-    Grid scan first, then optional golden-section refinement in the winning
-    grid cell, good to about 1e-6 in value for smooth extrema.
+    Grid scan first, then golden-section refinement in the winning grid
+    cell, good to about 1e-6 in value for smooth extrema.
     """
-    if objective not in ("max", "min"):
-        raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    evaluate = _evaluator(spec, engine)
-    sign = 1.0 if objective == "max" else -1.0
-
-    def signed(phi: float) -> float:
-        value = evaluate(jones_from_angles(phi, 0.0))
-        return -math.inf if math.isnan(value) else sign * value
-
-    phis = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    values = [signed(float(p)) for p in phis]
-    best_i = int(np.argmax(values))
-    best_phi, best_val = float(phis[best_i]), values[best_i]
-    if best_val == -math.inf:
+    _check_objective(objective)
+    phis = _linear_grid(grid_size)
+    values = next(_grid_times((spec.elements,), spec.pulse, phis, np.zeros(grid_size), engine))
+    best = _best_index(values, objective)
+    if best is None:
         raise NearZeroTransmissionError("every grid polarization is blocked")
-    if refine:
-        step = 2.0 * math.pi / grid_size
-        phi_r, val_r = _golden_max(signed, best_phi - step, best_phi + step)
-        if val_r > best_val:
-            best_phi, best_val = phi_r, val_r
+    sign = 1.0 if objective == "max" else -1.0
+    best_phi, best_val = float(phis[best]), sign * float(values[best])
+    step = 2.0 * math.pi / grid_size
+    phi_r, val_r = _golden_max(
+        lambda p: _signed_time(spec, engine, sign, p, 0.0), best_phi - step, best_phi + step
+    )
+    if val_r > best_val:
+        best_phi, best_val = phi_r, val_r
     return best_phi % (2.0 * math.pi), sign * best_val
 
 
@@ -203,22 +223,10 @@ def _sphere_grid(
     if n_theta < 2 or n_phi < 2:
         raise ValueError("sphere grid needs at least 2 points per angle")
     thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    if engine == "weak":
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        half = 0.5 * tt.ravel()
-        states = np.stack(
-            [np.cos(half), np.sin(half) * np.exp(1j * pp.ravel())], axis=1
-        )
-        times, _ = _weak_values_on_states(spec.elements, spec.pulse.omega0, states)
-        values = times.reshape(n_theta, n_phi)
-    else:
-        evaluate = _evaluator(spec, engine)
-        values = np.empty((n_theta, n_phi))
-        for i, theta in enumerate(thetas):
-            for j, phi in enumerate(phis):
-                values[i, j] = evaluate(jones_from_angles(float(theta), float(phi)))
-    return thetas, phis, values
+    phis = _linear_grid(n_phi)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    values = next(_grid_times((spec.elements,), spec.pulse, tt.ravel(), pp.ravel(), engine))
+    return thetas, phis, values.reshape(n_theta, n_phi)
 
 
 def sweep_sphere(
@@ -244,53 +252,32 @@ def extremal_sphere(
     n_phi: int = SPHERE_PHI_GRID,
     objective: str = "max",
     engine: str = "weak",
-    refine: bool = True,
-    rounds: int = 8,
 ) -> tuple[float, float, float]:
     """(theta, phi, value) of the extremal mean time over the whole sphere.
 
-    Grid scan plus alternating golden-section refinement in theta and phi
-    within the winning grid cell.
+    Grid scan plus SPHERE_REFINE_ROUNDS rounds of alternating golden-section
+    refinement in theta and phi within the winning grid cell.
     """
-    if objective not in ("max", "min"):
-        raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    evaluate = _evaluator(spec, engine)
-    sign = 1.0 if objective == "max" else -1.0
-
-    def signed(theta: float, phi: float) -> float:
-        value = evaluate(jones_from_angles(theta, phi))
-        return -math.inf if math.isnan(value) else sign * value
-
+    _check_objective(objective)
     thetas, phis, values = _sphere_grid(spec, n_theta, n_phi, engine)
-    # First maximum wins; blocked (NaN) cells never do.
-    best = int(np.argmax(np.where(np.isnan(values), -np.inf, sign * values)))
-    i, j = divmod(best, n_phi)
-    theta, phi, value = float(thetas[i]), float(phis[j]), float(values[i, j])
-    if math.isnan(value):
+    best = _best_index(values.ravel(), objective)
+    if best is None:
         raise NearZeroTransmissionError("every sphere polarization is blocked")
-    if refine:
-        h_theta = math.pi / (n_theta - 1)
-        h_phi = 2.0 * math.pi / n_phi
-        signed_value = sign * value
-        for _ in range(rounds):
-            theta, signed_value = _golden_max(
-                lambda t: signed(t, phi),
-                max(0.0, theta - h_theta),
-                min(math.pi, theta + h_theta),
-            )
-            phi, signed_value = _golden_max(
-                lambda p: signed(theta, p), phi - h_phi, phi + h_phi
-            )
-        value = sign * signed_value
-        phi %= 2.0 * math.pi
-    return theta, phi, value
-
-
-def _grid_extremum(values: np.ndarray, objective: str) -> float:
-    finite = values[~np.isnan(values)]
-    if finite.size == 0:
-        return math.nan
-    return float(finite.max() if objective == "max" else finite.min())
+    i, j = divmod(best, n_phi)
+    theta, phi = float(thetas[i]), float(phis[j])
+    sign = 1.0 if objective == "max" else -1.0
+    h_theta = math.pi / (n_theta - 1)
+    h_phi = 2.0 * math.pi / n_phi
+    for _ in range(SPHERE_REFINE_ROUNDS):
+        theta, signed_value = _golden_max(
+            lambda t: _signed_time(spec, engine, sign, t, phi),
+            max(0.0, theta - h_theta),
+            min(math.pi, theta + h_theta),
+        )
+        phi, signed_value = _golden_max(
+            lambda p: _signed_time(spec, engine, sign, theta, p), phi - h_phi, phi + h_phi
+        )
+    return theta, phi % (2.0 * math.pi), sign * signed_value
 
 
 def optimize_arrangement(
@@ -314,45 +301,28 @@ def optimize_arrangement(
             f"{len(elements)} elements exceed the exhaustive-search cap of "
             f"{MAX_ARRANGEMENT_ELEMENTS}"
         )
-    if objective not in ("max", "min"):
-        raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
+    _check_objective(objective)
     if not elements:
         raise ValueError("need at least one element to arrange")
     pulse = pulse if pulse is not None else PulseSpec(1.0)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    states = _linear_states(phis)
-    jones_grid = [jones_from_angles(float(p), 0.0) for p in phis]
-
-    def score(ordered: tuple[Element, ...]) -> float:
-        if engine == "weak":
-            times, _ = _weak_values_on_states(ordered, pulse.omega0, states)
-        elif engine == "exact":
-            spec = NetworkSpec(pulse, jones_grid[0], ordered)
-            times = np.array([_exact_eval(spec, j) for j in jones_grid])
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
-        return _grid_extremum(times, objective)
-
-    better = (lambda a, b: a > b) if objective == "max" else (lambda a, b: a < b)
-    seen: set[tuple[Element, ...]] = set()
-    table = []
-    best_order: tuple[int, ...] | None = None
-    best_value = math.nan
+    # Each distinct ordering, keyed by its chain, with its first index sequence.
+    orders: dict[tuple[Element, ...], tuple[int, ...]] = {}
     for perm in itertools.permutations(range(len(elements))):
-        ordered = tuple(elements[i] for i in perm)
-        if ordered in seen:
-            continue
-        seen.add(ordered)
-        value = score(ordered)
-        table.append((perm, value))
-        if not math.isnan(value) and (best_order is None or better(value, best_value)):
-            best_order, best_value = perm, value
-    if best_order is None:
+        orders.setdefault(tuple(elements[i] for i in perm), perm)
+    phis = _linear_grid(grid_size)
+    table = []
+    for perm, times in zip(
+        orders.values(), _grid_times(orders, pulse, phis, np.zeros(grid_size), engine)
+    ):
+        best = _best_index(times, objective)
+        table.append((perm, math.nan if best is None else float(times[best])))
+    best = _best_index(np.array([value for _, value in table]), objective)
+    if best is None:
         raise NearZeroTransmissionError("every ordering blocks all grid polarizations")
     return ArrangementResult(
         objective=objective,
-        best_order=best_order,
-        best_extremum=best_value,
+        best_order=table[best][0],
+        best_extremum=table[best][1],
         per_order_table=tuple(table) if keep_table else None,
     )
 

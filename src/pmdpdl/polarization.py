@@ -18,11 +18,10 @@ from .errors import ZeroVectorError
 # All matrices here are O(1) by construction, so absolute entry tolerances.
 NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
-UNITARY_ATOL = 1e-12
 
 _LN10 = math.log(10.0)
-# Axis norms outside this range come from squares that overflowed or lost
-# precision to underflow.
+# Norms (of axes, and of states by their largest part) outside this range
+# come from squares that overflowed or lost precision to underflow.
 _SAFE_NORM_MIN = 1e-150
 _SAFE_NORM_MAX = 1e150
 
@@ -59,9 +58,13 @@ class JonesVector:
         return JonesVector(self.h + other.h, self.v + other.v)
 
     def normalized(self) -> "JonesVector":
-        n = math.sqrt(self.norm_sq)
-        if n == 0.0:
+        largest = max(abs(self.h.real), abs(self.h.imag), abs(self.v.real), abs(self.v.imag))
+        if largest == 0.0:
             raise ZeroVectorError("cannot normalize a zero Jones vector")
+        if not _SAFE_NORM_MIN < largest < _SAFE_NORM_MAX:
+            # The squares overflow or underflow: scale by the largest part first.
+            return JonesVector(self.h / largest, self.v / largest).normalized()
+        n = math.sqrt(self.norm_sq)
         return JonesVector(self.h / n, self.v / n)
 
     def as_array(self) -> np.ndarray:
@@ -216,10 +219,6 @@ def db_from_mu(mu: float) -> float:
 
 def is_hermitian(op: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     return bool(np.max(np.abs(op - op.conj().T)) <= atol)
-
-
-def is_unitary(op: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    return bool(np.max(np.abs(op.conj().T @ op - IDENTITY)) <= atol)
 
 
 def expectation(op: np.ndarray, psi: JonesVector) -> float:

@@ -406,6 +406,29 @@ class TestExtremeInputs:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL + "pdl axis=1,0,0 db=1e308\n",
+            MINIMAL + "pdl axis=1,0,0 mu=1421\n",
+            "pulse tc=1 omega0=1e300\ninput theta=0 phi=0\npmd axis=1,0,0 dgd=1e10\n",
+        ],
+    )
+    def test_overflowing_element_is_parse_error(self, tmp_path, capsys, text):
+        for command in ("simulate", "weak"):
+            code, out, err = run_cli(capsys, command, write(tmp_path, text))
+            assert (code, out) == (2, "")
+            assert err.startswith("parse error: line 3: ")
+
+    def test_huge_and_tiny_input_amplitudes_parse(self, tmp_path, capsys):
+        outs = []
+        for h in ("1e200,0", "1e-200,0", "1,0"):
+            text = f"pulse tc=1\ninput h={h} v=0,0\npmd axis=0,0,1 dgd=0.5\n"
+            code, out, err = run_cli(capsys, "weak", write(tmp_path, text))
+            assert (code, err) == (0, "")
+            outs.append(out.split("input_digest")[0])
+        assert outs[0] == outs[1] == outs[2]
+
     def test_tiny_coherence_time_is_strong_limit(self, tmp_path, capsys):
         text = "pulse tc=1e-300\ninput theta=0.3 phi=0\npmd axis=0,0,1 dgd=1\n"
         code, out, err = run_cli(capsys, "simulate", write(tmp_path, text), "--json")

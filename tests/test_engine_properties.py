@@ -104,6 +104,34 @@ def test_negating_delay_axes_flips_mean_time_at_zero_carrier(t_c, angles, chain)
 
 
 @ENGINE_SETTINGS
+@given(t_cs, omega0s, inputs, chains)
+def test_negating_delay_axes_and_carrier_flips_mean_time(t_c, omega0, angles, chain):
+    # A delay section along -n at carrier -omega0 is the one along n at
+    # carrier omega0, seen at frequency -w; the pulse spectrum is even in w.
+    flipped = [(k, negated(a), d) if k == "pmd" else (k, a, d) for k, a, d in chain]
+    psi = jones(*angles)
+    tol = TIME_TOL * total_dgd(chain)
+    before = engines(t_c, omega0, psi, chain)
+    after = engines(t_c, -omega0, psi, flipped)
+    for b, a in zip(before, after):
+        assert abs(b + a) <= tol
+
+
+@ENGINE_SETTINGS
+@given(t_cs, omega0s, inputs, chains, st.floats(min_value=0.5, max_value=2.0))
+def test_scaling_every_dgd_scales_mean_time(t_c, omega0, angles, chain, s):
+    # The chain with every dgd scaled by s, at tc and omega0, is s times the
+    # chain itself at tc/s and s omega0: every dgd/tc and carrier phase agree.
+    unscaled = [(k, a, d / s) if k == "pmd" else (k, a, d) for k, a, d in chain]
+    psi = jones(*angles)
+    tol = TIME_TOL * total_dgd(chain)
+    scaled = engines(t_c, omega0, psi, chain)
+    base = engines(t_c / s, s * omega0, psi, unscaled)
+    for a, b in zip(scaled, base):
+        assert abs(a - s * b) <= tol
+
+
+@ENGINE_SETTINGS
 @given(t_cs, inputs, chains)
 def test_inverting_the_sphere_keeps_mean_time_at_zero_carrier(t_c, angles, chain):
     # Every axis negated, the input and every polarizer sent to its antipode.

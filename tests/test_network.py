@@ -106,6 +106,15 @@ class TestParseNetwork:
             assert spec == base
             assert serialize_network(spec) == serialize_network(base)
 
+    def test_huge_and_tiny_input_amplitudes_normalize(self):
+        # |h|^2 overflows at 1e200 and underflows at 1e-200; both must parse
+        # to the same state as h=1,0.
+        base = parse_network("pulse tc=1\ninput h=1,0 v=0,0\n")
+        for token in ("1e200,0", "1e-200,0"):
+            spec = parse_network(f"pulse tc=1\ninput h={token} v=0,0\n")
+            assert spec == base
+            assert serialize_network(spec) == serialize_network(base)
+
     def test_input_amplitude_form(self):
         text = "pulse tc=1\ninput h=1,0 v=0,1\npmd axis=0,0,1 dgd=1\n"
         spec = parse_network(text)
@@ -215,6 +224,27 @@ class TestParseDiagnostics:
     def test_zero_input_state(self):
         err = parse_error("pulse tc=1\ninput h=0,0 v=0,0\n")
         assert err.line_no == 2
+
+    @pytest.mark.parametrize(
+        "element, token",
+        [
+            ("pdl axis=1,0,0 db=1e308", "1e308"),  # mu = db ln(10)/20 overflows
+            ("pdl axis=1,0,0 mu=1421", "1421"),  # cosh(mu/2) overflows
+            ("pdl axis=0,0,1 mu=1419.6", "1419.6"),  # cosh + sinh overflows
+        ],
+    )
+    def test_attenuation_with_overflowing_operator(self, element, token):
+        err = parse_error(f"pulse tc=1\ninput theta=0 phi=0\n{element}\n")
+        assert (err.line_no, err.token) == (3, token)
+
+    def test_largest_attenuation_has_finite_operator(self):
+        spec = parse_network("pulse tc=1\ninput theta=0 phi=0\npdl axis=0,0,1 mu=1419.5\n")
+        assert np.isfinite(spec.elements[0].operator()).all()
+
+    def test_carrier_phase_overflow(self):
+        text = "pulse tc=1 omega0=1e300\ninput theta=0 phi=0\npmd axis=1,0,0 dgd=1e10\n"
+        err = parse_error(text)
+        assert (err.line_no, err.token) == (3, "1e10")
 
     def test_every_diagnostic_names_line_and_token(self):
         fixtures = [

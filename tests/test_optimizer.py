@@ -80,7 +80,7 @@ class TestExtremalPolarization:
         spec = chain_spec(Pmd(AXIS_Z, 1.0), Pdl(AXIS_X, 1.0))
         closed = 0.5 * math.cosh(1.0)
         errors = {
-            g: closed - extremal_polarization(spec, g, "max", "weak", refine=False)[1]
+            g: closed - sweep_polarization(spec, g).extremum("max")[1]
             for g in (90, 180, 360, 720)
         }
         assert errors[180] <= errors[90] / 2
