@@ -4,7 +4,7 @@ Commands: simulate | weak | sweep | optimize | validate. Results go to
 standard output (plain key=value lines, CSV, or JSON), diagnostics to
 standard error. Exit codes are a stable contract: 0 success, 1 validation
 bound violated, 2 network-file parse error, 3 physics error (no transmitted
-light, degenerate post-selection), 4 usage error.
+light, degenerate post-selection, overflow in the chain), 4 usage error.
 """
 from __future__ import annotations
 

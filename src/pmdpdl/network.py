@@ -252,10 +252,10 @@ def serialize_network(spec: NetworkSpec) -> str:
     Axes are written as 3-vectors before the magnitude field, attenuation
     always in natural units (never dB), the input state in amplitude form
     and polarizers as Poincare angles (their global phase is not physical).
-    The round trip is exact for the pulse, element kinds, dgd and mu, but
-    not bit-exact for the rest: normalizing an axis or state that is
-    already unit can move its last bit, and polarizers rebuilt from their
-    angles agree to within a few ulps.
+    The round trip is exact for the pulse, the input and every delay and
+    attenuation element, since normalizing an already unit axis or state
+    leaves it as it is; polarizers rebuilt from their angles agree to
+    within a few ulps.
     """
     lines = [f"pulse tc={_fmt(spec.pulse.t_c)} omega0={_fmt(spec.pulse.omega0)}"]
     h, v = complex(spec.input.h), complex(spec.input.v)
@@ -281,7 +281,8 @@ def apply_element(state: GaussianSumState, element: Element) -> GaussianSumState
 
 def run_exact(spec: NetworkSpec) -> ExactResult:
     """Propagate through the chain exactly and report observables. After
-    each element coincident delays are merged; no term is ever dropped."""
+    each element coincident delays are merged; no term is ever dropped.
+    Amplitudes that overflow end in a PmdPdlError from the moments."""
     state = initial_state(spec.pulse, spec.input)
     for element in spec.elements:
         state = prune(apply_element(state, element))

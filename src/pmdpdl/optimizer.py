@@ -17,7 +17,7 @@ import numpy as np
 from .elements import Element, Pdl, Pmd
 from .errors import NearZeroTransmissionError, TooManyElementsError
 from .network import NetworkSpec, run_exact
-from .polarization import AXIS_X, AXIS_Z, jones_from_angles
+from .polarization import AXIS_X, AXIS_Z, JonesVector, jones_from_angles
 from .pulse import NEAR_ZERO_NORM_SQ, PulseSpec
 from .weak import shift_quadratic_forms
 
@@ -111,16 +111,16 @@ def _grid_times(chains, pulse: PulseSpec, thetas: np.ndarray, phis: np.ndarray, 
     """Mean times of each chain at the Poincare points (thetas[k], phis[k]).
 
     Yields one array per chain, NaN where the point is blocked. The grid's
-    input states are built once for all the chains. Linear polarizations are
-    the points at phi = 0.
+    input states are built once for all the chains, and both engines see the
+    same states. Linear polarizations are the points at phi = 0.
     """
+    half = 0.5 * thetas
+    states = np.stack([np.cos(half), np.sin(half) * np.exp(1j * phis)], axis=1)
     if engine == "weak":
-        half = 0.5 * thetas
-        states = np.stack([np.cos(half), np.sin(half) * np.exp(1j * phis)], axis=1)
         for elements in chains:
             yield _weak_values_on_states(elements, pulse.omega0, states)[0]
     elif engine == "exact":
-        states = [jones_from_angles(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
+        states = [JonesVector(h, v) for h, v in states.tolist()]
         for elements in chains:
             times = np.empty(len(states))
             for k, state in enumerate(states):

@@ -20,15 +20,28 @@ NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 
 _LN10 = math.log(10.0)
-# Norms (of axes, and of states by their largest part) outside this range
-# come from squares that overflowed or lost precision to underflow.
-_SAFE_NORM_MIN = 1e-150
-_SAFE_NORM_MAX = 1e150
+# Norms within 4 ulps of 1 count as unit, which makes normalizing idempotent.
+_UNIT_NORM_ATOL = 4.0 * math.ulp(1.0)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
+
+
+def _unit(components: tuple, zero_message: str, nonfinite_message: str) -> tuple:
+    """Real components scaled to unit norm (by the largest |component| first,
+    so at any finite scale), or as they are if already unit."""
+    if abs(math.hypot(*components) - 1.0) <= _UNIT_NORM_ATOL:
+        return components
+    if not all(map(math.isfinite, components)):
+        raise ValueError(nonfinite_message)
+    largest = max(map(abs, components))
+    if largest == 0.0:
+        raise ZeroVectorError(zero_message)
+    scaled = [c / largest for c in components]
+    n = math.hypot(*scaled)
+    return tuple(c / n for c in scaled)
 
 
 @dataclass(frozen=True)
@@ -58,14 +71,13 @@ class JonesVector:
         return JonesVector(self.h + other.h, self.v + other.v)
 
     def normalized(self) -> "JonesVector":
-        largest = max(abs(self.h.real), abs(self.h.imag), abs(self.v.real), abs(self.v.imag))
-        if largest == 0.0:
-            raise ZeroVectorError("cannot normalize a zero Jones vector")
-        if not _SAFE_NORM_MIN < largest < _SAFE_NORM_MAX:
-            # The squares overflow or underflow: scale by the largest part first.
-            return JonesVector(self.h / largest, self.v / largest).normalized()
-        n = math.sqrt(self.norm_sq)
-        return JonesVector(self.h / n, self.v / n)
+        """Unit-norm copy; a state that is already unit comes back as it is."""
+        h_re, h_im, v_re, v_im = _unit(
+            (self.h.real, self.h.imag, self.v.real, self.v.imag),
+            "cannot normalize a zero Jones vector",
+            "Jones vector components must be finite",
+        )
+        return JonesVector(complex(h_re, h_im), complex(v_re, v_im))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.h, self.v], dtype=complex)
@@ -89,21 +101,13 @@ class Axis3:
     z: float
 
     def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
-        n = math.sqrt(x * x + y * y + z * z)
-        if not _SAFE_NORM_MIN < n < _SAFE_NORM_MAX:
-            # The squares overflow or underflow: scale by the largest
-            # component, then take the norm with hypot.
-            m = max(abs(x), abs(y), abs(z))
-            if 0.0 < m < math.inf:
-                x, y, z = x / m, y / m, z / m
-            n = math.hypot(x, y, z)
-        if n == 0.0:
-            raise ZeroVectorError("axis must be a nonzero 3-vector")
-        if not math.isfinite(n):
-            raise ValueError("axis components must be finite")
-        for name, value in zip("xyz", (x, y, z)):
-            object.__setattr__(self, name, value / n)
+        unit = _unit(
+            (self.x, self.y, self.z),
+            "axis must be a nonzero 3-vector",
+            "axis components must be finite",
+        )
+        for name, value in zip("xyz", unit):
+            object.__setattr__(self, name, value)
 
     def negated(self) -> "Axis3":
         return Axis3(-self.x, -self.y, -self.z)
@@ -198,11 +202,10 @@ def projector(state: JonesVector) -> np.ndarray:
 
 
 def apply_operator(op: np.ndarray, state: JonesVector) -> JonesVector:
-    """Apply a 2x2 operator to a Jones vector."""
-    return JonesVector(
-        complex(op[0, 0] * state.h + op[0, 1] * state.v),
-        complex(op[1, 0] * state.h + op[1, 1] * state.v),
-    )
+    """Apply a 2x2 operator to a Jones vector. Python complex arithmetic
+    overflows to inf or nan without a numpy warning."""
+    (a, b), (c, d) = op.tolist()
+    return JonesVector(complex(a * state.h + b * state.v), complex(c * state.h + d * state.v))
 
 
 def mu_from_db(db: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearZeroTransmissionError
+from .errors import NearZeroTransmissionError, PmdPdlError
 from .polarization import (
     IDENTITY,
     Axis3,
@@ -27,14 +27,8 @@ from .polarization import (
 
 # Below this fraction of a unit-norm input the arrival time has no meaning.
 NEAR_ZERO_NORM_SQ = 1e-12
-# Delays closer than this (times t_c) are treated as coincident and merged.
-_MERGE_DELAY_FACTOR = 1e-15
-# Within these bounds on t_c and on the delay span over t_c, the overlap
-# exponent d^2 / (8 t_c^2) cannot overflow and is computed as written.
-# Beyond the span bound every overlap is 0 anyway.
-_PLAIN_TC_MIN = 1e-100
-_PLAIN_TC_MAX = 1e100
-_PLAIN_SPAN_MAX = 1e40
+# Delays within this many ulps of the largest |delay| differ only by rounding.
+_MERGE_ULPS = 4
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
@@ -67,25 +61,18 @@ class GaussianSumState:
     terms: tuple[Term, ...]
 
 
-def _overlap_exponent(d, span: float, t_c: float):
-    """(d / (2 sqrt2 t_c))^2 for delay differences d: a float, or an array
-    whose entries are at most span in magnitude.
-
-    Outside the plain bounds d is scaled before squaring; a square that
-    overflows is inf, so its overlap exp(-inf) is 0, with no warning.
-    """
-    if _PLAIN_TC_MIN <= t_c <= _PLAIN_TC_MAX and span <= _PLAIN_SPAN_MAX * t_c:
-        return (d * d) / (8.0 * t_c * t_c)
-    with np.errstate(over="ignore"):
-        s = d / t_c / _TWO_SQRT2
-        return s * s
+def _overlap_exponent(d, t_c: float):
+    """(d / (2 sqrt2 t_c))^2 for delay differences d, a float or an array;
+    d is scaled first, so it overflows only where the overlap is 0 anyway."""
+    s = d / t_c / _TWO_SQRT2
+    return s * s
 
 
 def gaussian_overlap(delay_a: float, delay_b: float, t_c: float) -> float:
     """Overlap of two unit-norm envelope amplitudes centered at the given
     delays: exp(-(a-b)^2 / (8 t_c^2))."""
     d = delay_a - delay_b
-    return math.exp(-_overlap_exponent(d, abs(d), t_c))
+    return math.exp(-_overlap_exponent(d, t_c))
 
 
 def initial_state(pulse: PulseSpec, psi: JonesVector) -> GaussianSumState:
@@ -143,18 +130,20 @@ def project_pure(state: GaussianSumState, phi: JonesVector) -> GaussianSumState:
 
 
 def _pairwise_moments(state: GaussianSumState) -> tuple[float, float]:
-    """Total norm^2 and first delay moment via pairwise Gaussian overlaps."""
+    """Total norm^2 and first delay moment via pairwise Gaussian overlaps;
+    PmdPdlError when either is not finite (the field overflowed)."""
     if not state.terms:
         return 0.0, 0.0
-    t_c = state.pulse.t_c
-    delays = [t.delay for t in state.terms]
-    d = np.array(delays)
-    a = np.array([[t.amp.h, t.amp.v] for t in state.terms], dtype=complex)
-    gram = np.real(a.conj() @ a.T)
-    dd = d[:, None] - d[None, :]
-    weights = gram * np.exp(-_overlap_exponent(dd, max(delays) - min(delays), t_c))
-    norm_sq = float(weights.sum())
-    moment = float(0.5 * (weights * (d[:, None] + d[None, :])).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.array([t.delay for t in state.terms])
+        a = np.array([[t.amp.h, t.amp.v] for t in state.terms], dtype=complex)
+        gram = np.real(a.conj() @ a.T)
+        dd = d[:, None] - d[None, :]
+        weights = gram * np.exp(-_overlap_exponent(dd, state.pulse.t_c))
+        norm_sq = float(weights.sum())
+        moment = float(0.5 * (weights * (d[:, None] + d[None, :])).sum())
+    if not (math.isfinite(norm_sq) and math.isfinite(moment)):
+        raise PmdPdlError("the field overflows: its energy or delay moment is not finite")
     return norm_sq, moment
 
 
@@ -214,14 +203,15 @@ def intensity_profile(
 
 
 def prune(state: GaussianSumState) -> GaussianSumState:
-    """Merge terms whose delays differ by less than 1e-15 t_c into one.
+    """Merge terms whose delays are equal up to rounding into one.
 
-    No term is dropped; a merged term moves by less than 1e-15 t_c.
+    Delays closer than a few ulps of the largest |delay| are merged; no
+    term is dropped, and distinct delays, however close, stay distinct.
     """
     if not state.terms:
         return state
-    eps = _MERGE_DELAY_FACTOR * state.pulse.t_c
     ordered = sorted(state.terms, key=lambda term: term.delay)
+    eps = _MERGE_ULPS * math.ulp(max(abs(ordered[0].delay), abs(ordered[-1].delay)))
     merged = [ordered[0]]
     for term in ordered[1:]:
         last = merged[-1]

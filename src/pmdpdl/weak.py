@@ -21,7 +21,7 @@ from .errors import (
     DegeneratePostSelectionError,
     NearZeroTransmissionError,
     OrthogonalPostSelectionError,
-    ZeroVectorError,
+    PmdPdlError,
 )
 from .polarization import (
     AXIS_Z,
@@ -148,25 +148,29 @@ def shift_quadratic_forms(
     contributes coef * Re<psi|form|psi> / <psi|norm_form|psi> to the mean
     time, attributed to the delay element at that index. Built from one
     left-to-right pass of prefix/suffix operator products, so the cost is
-    linear in the chain length.
+    linear in the chain length. Raises PmdPdlError when a form is not
+    finite: the products overflowed.
     """
     ops = [element_operator(el, omega0) for el in elements]
     n = len(ops)
-    prefixes = [IDENTITY]
-    for op in ops:
-        prefixes.append(op @ prefixes[-1])
-    suffixes = [IDENTITY] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffixes[k] = suffixes[k + 1] @ ops[k]
-    total = prefixes[n]
-    total_dag = total.conj().T
-    norm_form = total_dag @ total
-    shift_forms = []
-    for k, element in enumerate(elements):
-        if isinstance(element, Pmd):
-            sigma = pauli_on_axis(element.axis)
-            form = total_dag @ suffixes[k] @ sigma @ prefixes[k]
-            shift_forms.append((k, 0.5 * element.dgd, form))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefixes = [IDENTITY]
+        for op in ops:
+            prefixes.append(op @ prefixes[-1])
+        suffixes = [IDENTITY] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            suffixes[k] = suffixes[k + 1] @ ops[k]
+        total = prefixes[n]
+        total_dag = total.conj().T
+        norm_form = total_dag @ total
+        shift_forms = []
+        for k, element in enumerate(elements):
+            if isinstance(element, Pmd):
+                sigma = pauli_on_axis(element.axis)
+                form = total_dag @ suffixes[k] @ sigma @ prefixes[k]
+                shift_forms.append((k, 0.5 * element.dgd, form))
+    if not np.isfinite([norm_form, *(form for _, _, form in shift_forms)]).all():
+        raise PmdPdlError("the chain's operator products overflow: its forms are not finite")
     return norm_form, tuple(shift_forms)
 
 
@@ -209,10 +213,6 @@ def psp_pair(
     op = IDENTITY
     for element in post_pmd_elements:
         op = element_operator(element, omega0) @ op
-    fast = apply_operator(op, plus_eigenstate(pmd_axis))
-    slow = apply_operator(op, minus_eigenstate(pmd_axis))
-    if fast.norm_sq == 0.0 or slow.norm_sq == 0.0:
-        raise ZeroVectorError("downstream elements annihilate a delay eigenmode")
-    fast = fast.normalized()
-    slow = slow.normalized()
+    fast = apply_operator(op, plus_eigenstate(pmd_axis)).normalized()
+    slow = apply_operator(op, minus_eigenstate(pmd_axis)).normalized()
     return fast, slow, slow.inner(fast)

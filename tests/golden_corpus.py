@@ -15,6 +15,8 @@ Regenerate the expectations with
 The generator checks every exact-engine number against the independent
 frequency-domain evaluation in frequency_domain.py before it writes the file.
 A change that regenerates it lists every output that moved in CHANGES.md.
+With --check it writes nothing: it prints each output that would change,
+with its largest numeric change, and exits 1 if any would.
 """
 from __future__ import annotations
 
@@ -83,6 +85,8 @@ CASES = {
         ("optimize", "--grid", "8"),
     ),
     "nine_elements.net": (("weak",), ("optimize",)),
+    "overflow_mu1419.net": (("simulate",), ("weak",)),
+    "overflow_opposed.net": (("simulate",), ("weak",)),
 }
 
 
@@ -258,12 +262,54 @@ def expectations() -> list[dict]:
     return records
 
 
-def main() -> int:
+def _dump(value) -> str:
+    return json.dumps(value, indent=1, sort_keys=True) + "\n"
+
+
+def _change(old: dict | None, new: dict | None) -> str:
+    """Which fields of one record would change, and its largest numeric change
+    (NaN when a number turns blocked or unblocked)."""
+    if old is None or new is None:
+        return "added" if old is None else "removed"
+    keys = sorted(old.keys() | new.keys())
+    text = ", ".join(k for k in keys if _dump(old.get(k)) != _dump(new.get(k))) + " differ"
+    old_numbers, new_numbers = old.get("numbers", []), new.get("numbers", [])
+    if len(old_numbers) != len(new_numbers):
+        return text
+    changes = [
+        0.0 if math.isnan(a) and math.isnan(b) else abs(a - b)
+        for (a, _), (b, _) in zip(old_numbers, new_numbers)
+    ]
+    largest = math.nan if any(map(math.isnan, changes)) else max(changes, default=0.0)
+    return f"{text}; largest numeric change {largest:.3g}"
+
+
+def check(records) -> int:
+    """Print each committed record that `records` would change; 1 if any."""
+    def keyed(entries):
+        return {(r["file"], tuple(r["argv"])): r for r in entries}
+
+    old, new = keyed(json.loads(EXPECTED.read_text())), keyed(records)
+    changed = 0
+    for key in sorted(old.keys() | new.keys()):
+        if _dump(old.get(key)) != _dump(new.get(key)):
+            changed += 1
+            print(f"{key[0]}: {' '.join(key[1])}: {_change(old.get(key), new.get(key))}")
+    print(f"{changed} of {len(records)} outputs would change")
+    return 1 if changed else 0
+
+
+def main(args) -> int:
     records = expectations()
-    EXPECTED.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    if args == ["--check"]:
+        return check(records)
+    if args:
+        print("usage: golden_corpus.py [--check]", file=sys.stderr)
+        return 2
+    EXPECTED.write_text(_dump(records))
     print(f"wrote {len(records)} outputs to {EXPECTED}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

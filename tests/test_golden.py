@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from golden_corpus import CASES, EXPECTED, is_exact, run, sha256, split_exact
+from golden_corpus import CASES, EXPECTED, expectations, is_exact, run, sha256, split_exact
 
 RECORDS = json.loads(EXPECTED.read_text())
 
@@ -38,3 +38,10 @@ def test_output_matches_golden(record):
             assert math.isnan(value), where
         else:
             assert abs(value - expected) <= tol, (where, value, expected)
+
+
+def test_exact_outputs_agree_with_the_oracle():
+    # expectations() checks every exact-engine number against the
+    # frequency-domain evaluation in frequency_domain.py, and raises if one
+    # is off by more than its tolerance.
+    assert len(expectations()) == len(RECORDS)

@@ -306,7 +306,14 @@ class TestSerializeNetwork:
         for _ in range(100):
             spec = random_spec(rng)
             again = parse_network(serialize_network(spec))
-            assert_specs_match(spec, again)
+            assert (again.pulse, again.input) == (spec.pulse, spec.input)
+            assert len(again.elements) == len(spec.elements)
+            for old, new in zip(spec.elements, again.elements):
+                if isinstance(old, Polarizer):
+                    assert type(new) is Polarizer
+                    assert np.max(np.abs(old.state.as_array() - new.state.as_array())) <= 2e-15
+                else:
+                    assert new == old
 
     def test_canonical_field_order(self):
         spec = NetworkSpec(

@@ -253,6 +253,14 @@ class TestPrune:
         assert len(merged.terms) == 1
         assert merged.terms[0].amp == JonesVector(1, 1)
 
+    def test_keeps_delays_far_below_tc_apart(self):
+        # One z section: mean time (dgd/2) cos(theta) at any dgd/tc. Merging
+        # its two terms as coincident would leave a pure shift of -dgd/2.
+        spec = parse_network("pulse tc=1\ninput theta=0.5 phi=0\npmd axis=0,0,1 dgd=1e-100\n")
+        result = run_exact(spec)
+        assert len(result.state.terms) == 2
+        assert result.mean_time == pytest.approx(0.5e-100 * math.cos(0.5), rel=1e-15)
+
     def test_tol_zero_preserves_observables(self):
         rng = np.random.default_rng(26)
         for _ in range(10):
