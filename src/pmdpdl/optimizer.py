@@ -100,8 +100,8 @@ def _weak_values_on_states(
     den = np.real(np.einsum("gi,ij,gj->g", conj, norm_form, states))
     blocked = den < NEAR_ZERO_NORM_SQ
     total = np.zeros(len(states))
-    for _, coef, form in shift_forms:
-        total += coef * np.real(np.einsum("gi,ij,gj->g", conj, form, states))
+    for _, form in shift_forms:
+        total += np.real(np.einsum("gi,ij,gj->g", conj, form, states))
     safe = np.where(blocked, 1.0, den)
     times = np.where(blocked, np.nan, total / safe)
     return times, blocked

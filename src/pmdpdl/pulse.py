@@ -1,28 +1,27 @@
 """Exact propagation of a polarized Gaussian pulse through element chains.
 
 The field is kept in closed form as a finite sum of delayed Gaussian
-envelopes, each carrying an (unnormalized) Jones spinor. A birefringent delay
-splits every term along the element axis, attenuators and polarizers act on
-the spinors only, and every observable reduces to pairwise Gaussian overlaps.
+envelopes, each carrying an (unnormalized) Jones spinor. Every term leaves
+an element as one term per (delay, operator) branch of it, and every
+observable reduces to pairwise Gaussian overlaps.
 There is no time grid, no FFT and no discretization error, which is what
 makes this engine usable as ground truth for the closed-form weak engine.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .elements import Pdl, Pmd, Polarizer
 from .errors import NearZeroTransmissionError, PmdPdlError
 from .polarization import (
-    IDENTITY,
     Axis3,
     JonesVector,
     apply_operator,
-    pauli_on_axis,
-    pdl_operator,
+    pauli_on_axis,  # noqa: F401 - perfbench's tracer wraps it here
+    pdl_operator,  # noqa: F401 - perfbench's tracer wraps it here
 )
 
 # Below this fraction of a unit-norm input the arrival time has no meaning.
@@ -81,52 +80,31 @@ def initial_state(pulse: PulseSpec, psi: JonesVector) -> GaussianSumState:
     return GaussianSumState(pulse, (Term(0.0, psi),))
 
 
-def apply_pmd(state: GaussianSumState, axis: Axis3, dgd: float) -> GaussianSumState:
-    """Split every term along the element's eigenmodes.
-
-    The +axis component is delayed by +dgd/2 and picks up carrier phase
-    e^{+i omega0 dgd/2}; the -axis component gets the opposite delay and
-    phase. Unitary: total energy is conserved. Term count at most doubles;
-    components that vanish identically are not kept.
-    """
-    if dgd < 0:
-        raise ValueError(f"dgd must be >= 0, got {dgd!r}")
-    sigma = pauli_on_axis(axis)
-    proj_plus = 0.5 * (IDENTITY + sigma)
-    proj_minus = 0.5 * (IDENTITY - sigma)
-    half = 0.5 * dgd
-    phase = cmath.exp(1j * state.pulse.omega0 * half)
+def _apply_branches(state: GaussianSumState, branches: tuple) -> GaussianSumState:
+    """Send every term through every (delay, operator) branch of one element.
+    Amplitudes that vanish identically are not kept."""
     out = []
     for term in state.terms:
-        a_plus = apply_operator(proj_plus, term.amp).scaled(phase)
-        a_minus = apply_operator(proj_minus, term.amp).scaled(phase.conjugate())
-        if a_plus.h != 0 or a_plus.v != 0:
-            out.append(Term(term.delay + half, a_plus))
-        if a_minus.h != 0 or a_minus.v != 0:
-            out.append(Term(term.delay - half, a_minus))
+        for delay, op in branches:
+            amp = apply_operator(op, term.amp)
+            if amp.h != 0 or amp.v != 0:
+                out.append(Term(term.delay + delay, amp))
     return GaussianSumState(state.pulse, tuple(out))
 
 
-def apply_jones_operator(state: GaussianSumState, op: np.ndarray) -> GaussianSumState:
-    """Apply a polarization-only 2x2 operator to every term (delays untouched)."""
-    return GaussianSumState(
-        state.pulse,
-        tuple(Term(t.delay, apply_operator(op, t.amp)) for t in state.terms),
-    )
+def apply_pmd(state: GaussianSumState, axis: Axis3, dgd: float) -> GaussianSumState:
+    """Split every term along the eigenmodes of a delay section (unitary)."""
+    return _apply_branches(state, Pmd(axis, dgd).branches(state.pulse.omega0))
 
 
 def apply_pdl(state: GaussianSumState, axis: Axis3, mu: float) -> GaussianSumState:
     """Attenuate: every spinor through the filter e^{mu sigma_axis / 2}."""
-    return apply_jones_operator(state, pdl_operator(axis, mu))
+    return _apply_branches(state, Pdl(axis, mu).branches())
 
 
 def project_pure(state: GaussianSumState, phi: JonesVector) -> GaussianSumState:
     """Ideal polarizer: keep the component along phi in every term."""
-    phi.require_normalized("polarizer state")
-    return GaussianSumState(
-        state.pulse,
-        tuple(Term(t.delay, phi.scaled(phi.inner(t.amp))) for t in state.terms),
-    )
+    return _apply_branches(state, Polarizer(phi).branches())
 
 
 def _pairwise_moments(state: GaussianSumState) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Element, Pmd, element_operator
+from .elements import Element, element_operator
 from .errors import (
     DegeneratePostSelectionError,
     NearZeroTransmissionError,
@@ -140,16 +140,17 @@ def max_anomalous_shift(dgd: float, mu: float) -> float:
 
 def shift_quadratic_forms(
     elements: tuple[Element, ...] | list[Element], omega0: float = 0.0
-) -> tuple[np.ndarray, tuple[tuple[int, float, np.ndarray], ...]]:
+) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
     """Input-independent 2x2 forms for a chain's weak arrival-time result.
 
     Returns (norm_form, shift_forms) where <psi|norm_form|psi> is the squared
-    norm of the filtered state and each shift_forms entry (index, coef, form)
-    contributes coef * Re<psi|form|psi> / <psi|norm_form|psi> to the mean
-    time, attributed to the delay element at that index. Built from one
-    left-to-right pass of prefix/suffix operator products, so the cost is
-    linear in the chain length. Raises PmdPdlError when a form is not
-    finite: the products overflowed.
+    norm of the filtered state and each shift_forms entry (index, form)
+    contributes Re<psi|form|psi> / <psi|norm_form|psi> to the mean time,
+    attributed to the element at that index: T^dag S (sum_b delay_b op_b) P
+    for each element with more than one branch, with P, S and T the operator
+    products before it, after it and of the whole chain. Built from one pass
+    of prefix/suffix products, so the cost is linear in the chain length.
+    Raises PmdPdlError when a form is not finite: the products overflowed.
     """
     ops = [element_operator(el, omega0) for el in elements]
     n = len(ops)
@@ -165,11 +166,11 @@ def shift_quadratic_forms(
         norm_form = total_dag @ total
         shift_forms = []
         for k, element in enumerate(elements):
-            if isinstance(element, Pmd):
-                sigma = pauli_on_axis(element.axis)
-                form = total_dag @ suffixes[k] @ sigma @ prefixes[k]
-                shift_forms.append((k, 0.5 * element.dgd, form))
-    if not np.isfinite([norm_form, *(form for _, _, form in shift_forms)]).all():
+            (delay, op), *rest = element.branches(omega0)
+            if rest:
+                moment = sum((d * o for d, o in rest), delay * op)
+                shift_forms.append((k, total_dag @ suffixes[k + 1] @ moment @ prefixes[k]))
+    if not np.isfinite([norm_form, *(form for _, form in shift_forms)]).all():
         raise PmdPdlError("the chain's operator products overflow: its forms are not finite")
     return norm_form, tuple(shift_forms)
 
@@ -193,8 +194,8 @@ def network_mean_time(
             f"filtered state norm^2 = {norm_sq:.3e}; arrival time undefined"
         )
     shifts = [0.0] * len(elements)
-    for index, coef, form in shift_forms:
-        shifts[index] = coef * float(np.real(np.vdot(a, form @ a))) / norm_sq
+    for index, form in shift_forms:
+        shifts[index] = float(np.real(np.vdot(a, form @ a))) / norm_sq
     return WeakResult(float(sum(shifts)), norm_sq, tuple(shifts))
 
 

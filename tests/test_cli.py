@@ -156,8 +156,8 @@ class TestWeak:
         assert code == 3
 
     def test_report_bytes_with_zero_dgd_section(self, tmp_path, capsys):
-        # A dgd=0 section is still a delay section: its row prints its
-        # weak shift, which here is -0.
+        # A dgd=0 section is still a delay section: its row keeps the pmd
+        # kind and prints its weak shift, 0 (its branches carry delays +-0).
         text = (
             "pulse tc=1\ninput theta=2.5 phi=1\npmd axis=0,0,1 dgd=0\n"
             "pdl axis=1,0,0 mu=0.5\npmd axis=0,1,0 dgd=0.01\n"
@@ -171,7 +171,7 @@ class TestWeak:
             "input_digest = sha256:"
             "e242e98172ffc5ae25f6c6c96ae90834a1ce0895af9247c3e8ecac5028b3b7e1\n"
             "index,kind,shift\n"
-            "1,pmd,-0\n"
+            "1,pmd,0\n"
             "2,pdl,0\n"
             "3,pmd,0.0019427017777110655\n"
         )

@@ -139,9 +139,11 @@ texts = st.builds(
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(texts)
-@pytest.mark.filterwarnings("error")
-# Hypothesis imports libcst to print a failing example, and that import warns.
+# Hypothesis imports libcst to print a failing example, and that import
+# warns. The mark nearest the function is installed first, so this one must
+# sit above "error" to take precedence over it.
 @pytest.mark.filterwarnings("ignore::DeprecationWarning:libcst")
+@pytest.mark.filterwarnings("error")
 def test_any_text_parses_to_finite_operators_or_a_numbered_error(text):
     try:
         spec = parse_network(text)
