@@ -34,10 +34,9 @@ from .optimizer import (
     DEFAULT_GRID,
     SPHERE_PHI_GRID,
     SPHERE_THETA_GRID,
-    _sphere_grid,
     optimize_arrangement,
     sweep_polarization,
-    sweep_sphere,  # noqa: F401 - perfbench's tracer wraps pmdpdl.cli.sweep_sphere
+    sweep_sphere,
 )
 from .pulse import intensity_profile
 
@@ -179,10 +178,9 @@ def cmd_weak(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec, _ = _read_network(args.file)
-    include_exact = args.engine == "exact"
     if args.sphere:
         grid_phi = args.grid if args.grid is not None else SPHERE_PHI_GRID
-        thetas, phis, values = _sphere_grid(spec, args.theta_grid, grid_phi, args.engine)
+        thetas, phis, values = sweep_sphere(spec, args.theta_grid, grid_phi, args.engine)
         # One chunk per theta row; each angle is formatted once.
         phi_cells = _fmt_column(phis)
         _write_csv(
@@ -194,12 +192,12 @@ def cmd_sweep(args) -> int:
         )
         return EXIT_OK
     grid = args.grid if args.grid is not None else DEFAULT_GRID
-    rows = sweep_polarization(spec, grid, include_exact=include_exact).rows
+    phis, t_weak, t_exact = sweep_polarization(spec, grid, include_exact=args.engine == "exact")
     header = "phi,t_weak"
-    columns = [_fmt_column([r.phi for r in rows]), _fmt_column([r.t_weak for r in rows])]
-    if include_exact:
+    columns = [_fmt_column(phis), _fmt_column(t_weak)]
+    if t_exact is not None:
         header += ",t_exact"
-        columns.append(_fmt_column([r.t_exact for r in rows]))
+        columns.append(_fmt_column(t_exact))
     _write_csv(header, [tuple(columns)])
     return EXIT_OK
 
@@ -230,18 +228,19 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    spec, _ = _read_network(args.file)
     try:
         ratios = [float(tok) for tok in args.ratios.split(",") if tok]
     except ValueError:
-        print(f"invalid --ratios value: {args.ratios!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not ratios or any(r <= 0 for r in ratios):
-        print(f"--ratios must be positive numbers, got {args.ratios!r}", file=sys.stderr)
-        return EXIT_USAGE
+        ratios = []
+    if not ratios or not all(0.0 < r < math.inf for r in ratios):
+        raise ValueError(f"--ratios must be finite and > 0, got {args.ratios!r}")
+    if not 0.0 < args.bound_factor < math.inf:
+        raise ValueError(f"--bound-factor must be finite and > 0, got {args.bound_factor!r}")
+    spec, _ = _read_network(args.file)
     max_dgd = max((el.delay for el in spec.elements), default=0.0)
-    violated = False
-    print("ratio,discrepancy,bound")
+    # Every row is computed before any is written, so a failing ratio
+    # leaves stdout empty.
+    discrepancies, bounds = [], []
     for ratio in ratios:
         if max_dgd > 0:
             factor = ratio * spec.pulse.t_c / max_dgd
@@ -252,11 +251,13 @@ def cmd_validate(args) -> int:
         weak = run_weak(scaled).mean_time
         total_dgd = sum(el.delay for el in scaled.elements)
         worst = max_weakness_ratio(scaled)
-        bound = args.bound_factor * total_dgd * worst * worst
-        discrepancy = abs(exact - weak)
-        if discrepancy > bound:
-            violated = True
-        print(f"{_fmt(ratio)},{_fmt(discrepancy)},{_fmt(bound)}")
+        discrepancies.append(abs(exact - weak))
+        bounds.append(args.bound_factor * total_dgd * worst * worst)
+    _write_csv(
+        "ratio,discrepancy,bound",
+        [(_fmt_column(ratios), _fmt_column(discrepancies), _fmt_column(bounds))],
+    )
+    violated = any(d > b for d, b in zip(discrepancies, bounds))
     return EXIT_BOUND if violated else EXIT_OK
 
 

@@ -31,31 +31,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One polarization sample: linear input at angle phi. t_exact is None
-    unless the exact engine was requested; blocked rows carry NaN values."""
-
-    phi: float
-    t_weak: float
-    t_exact: float | None
-    blocked: bool
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-
-    def extremum(self, objective: str = "max") -> tuple[float, float]:
-        """(phi, t_weak) of the extremal unblocked row; the first one wins a tie."""
-        _check_objective(objective)
-        times = np.array([math.nan if r.blocked else r.t_weak for r in self.rows])
-        best = _best_index(times, objective)
-        if best is None:
-            raise NearZeroTransmissionError("every sweep row is blocked")
-        return self.rows[best].phi, self.rows[best].t_weak
-
-
-@dataclass(frozen=True)
 class ArrangementResult:
     """Outcome of the exhaustive ordering search. best_order indexes into the
     element list as given; ties resolve to the lexicographically smallest
@@ -142,31 +117,33 @@ def _signed_time(spec: NetworkSpec, engine: str, sign: float, theta: float, phi:
     return -math.inf if math.isnan(value) else sign * float(value)
 
 
-def _linear_grid(grid_size: int) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
+def _grid_size(size: int, name: str) -> int:
+    """size, checked: every angle grid needs at least 2 points."""
+    if size < 2:
+        raise ValueError(f"{name} must be >= 2, got {size!r}")
+    return size
+
+
+def _linear_grid(grid_size: int, name: str = "grid_size") -> np.ndarray:
+    return np.linspace(0.0, 2.0 * math.pi, _grid_size(grid_size, name), endpoint=False)
 
 
 def sweep_polarization(
     spec: NetworkSpec, grid_size: int = DEFAULT_GRID, include_exact: bool = False
-) -> SweepResult:
-    """Evaluate the chain over linear input polarizations phi in [0, 2 pi).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Mean times over linear input polarizations phi in [0, 2 pi).
 
-    Blocked polarizations (no transmitted light) are flagged, not fatal.
+    Returns (phis, t_weak, t_exact); t_exact is None unless include_exact.
+    Blocked polarizations (no transmitted light) are NaN, not fatal.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size!r}")
     phis = _linear_grid(grid_size)
     zeros = np.zeros(grid_size)
     chain = (spec.elements,)
-    t_weak = next(_grid_times(chain, spec.pulse, phis, zeros, "weak")).tolist()
-    t_exact = [None] * grid_size
+    t_weak = next(_grid_times(chain, spec.pulse, phis, zeros, "weak"))
+    t_exact = None
     if include_exact:
-        t_exact = next(_grid_times(chain, spec.pulse, phis, zeros, "exact")).tolist()
-    rows = [
-        SweepRow(phi, weak, exact, math.isnan(weak) or (exact is not None and math.isnan(exact)))
-        for phi, weak, exact in zip(phis.tolist(), t_weak, t_exact)
-    ]
-    return SweepResult(tuple(rows))
+        t_exact = next(_grid_times(chain, spec.pulse, phis, zeros, "exact"))
+    return phis, t_weak, t_exact
 
 
 def _golden_max(f, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
@@ -215,35 +192,19 @@ def extremal_polarization(
     return best_phi % (2.0 * math.pi), sign * best_val
 
 
-def _sphere_grid(
-    spec: NetworkSpec, n_theta: int, n_phi: int, engine: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean times over the sphere grid: (thetas, phis, values), with values
-    of shape (n_theta, n_phi) and NaN where blocked."""
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError("sphere grid needs at least 2 points per angle")
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = _linear_grid(n_phi)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    values = next(_grid_times((spec.elements,), spec.pulse, tt.ravel(), pp.ravel(), engine))
-    return thetas, phis, values.reshape(n_theta, n_phi)
-
-
 def sweep_sphere(
     spec: NetworkSpec,
     n_theta: int = SPHERE_THETA_GRID,
     n_phi: int = SPHERE_PHI_GRID,
     engine: str = "weak",
-) -> tuple[tuple[float, float, float], ...]:
-    """Full-sphere sweep: rows of (theta, phi, mean_time), NaN where blocked."""
-    thetas, phis, values = _sphere_grid(spec, n_theta, n_phi, engine)
-    return tuple(
-        zip(
-            np.repeat(thetas, n_phi).tolist(),
-            np.tile(phis, n_theta).tolist(),
-            values.ravel().tolist(),
-        )
-    )
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-sphere sweep: (thetas, phis, values), thetas over [0, pi] and phis
+    over [0, 2 pi), with values of shape (n_theta, n_phi) and NaN where blocked."""
+    thetas = np.linspace(0.0, math.pi, _grid_size(n_theta, "n_theta"))
+    phis = _linear_grid(n_phi, "n_phi")
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    values = next(_grid_times((spec.elements,), spec.pulse, tt.ravel(), pp.ravel(), engine))
+    return thetas, phis, values.reshape(n_theta, n_phi)
 
 
 def extremal_sphere(
@@ -259,7 +220,7 @@ def extremal_sphere(
     refinement in theta and phi within the winning grid cell.
     """
     _check_objective(objective)
-    thetas, phis, values = _sphere_grid(spec, n_theta, n_phi, engine)
+    thetas, phis, values = sweep_sphere(spec, n_theta, n_phi, engine)
     best = _best_index(values.ravel(), objective)
     if best is None:
         raise NearZeroTransmissionError("every sphere polarization is blocked")

@@ -205,7 +205,8 @@ def psp_pair(
     omega0: float = 0.0,
 ) -> tuple[JonesVector, JonesVector, complex]:
     """Principal output states of a delay section: its eigenmodes evolved
-    through everything downstream, normalized, plus their complex overlap.
+    through everything downstream, normalized, plus their complex overlap
+    <slow|fast> (slow conjugated).
 
     With no downstream attenuation the pair stays orthogonal (overlap 0); a
     single transverse filter of strength mu gives |overlap| = tanh(mu).

@@ -65,6 +65,14 @@ MORE_OPTIMIZE = (
     ("optimize", "--grid", "36", "--objective", "min"),
     ("optimize", "--grid", "8", "--engine", "exact", "--table"),
 )
+# Flag values that are usage errors (exit 4, nothing on stdout).
+BAD_FLAGS = (
+    ("optimize", "--grid", "0"),
+    ("optimize", "--grid", "1"),
+    ("optimize", "--grid", "-3"),
+    ("validate", "--bound-factor", "nan"),
+    ("validate", "--ratios", "nan"),
+)
 
 CASES = {
     **{f"bag5_seed1_{i}.net": WEAK + OPTIMIZE + EXACT for i in range(8)},
@@ -73,7 +81,7 @@ CASES = {
     "dgd_zero.net": WEAK + OPTIMIZE + EXACT,
     "empty.net": WEAK + EXACT + (("optimize",),),
     "filters_only.net": WEAK + OPTIMIZE + EXACT,
-    "bag4.net": WEAK + OPTIMIZE + EXACT + MORE_OPTIMIZE,
+    "bag4.net": WEAK + OPTIMIZE + EXACT + MORE_OPTIMIZE + BAD_FLAGS,
     "axis_1e200.net": WEAK + OPTIMIZE + EXACT,
     "tc_1e-300.net": WEAK + EXACT,
     "parse_error.net": (("simulate",), ("weak",)),
@@ -83,6 +91,7 @@ CASES = {
         ("sweep", "--grid", "8"),
         ("sweep", "--grid", "8", "--engine", "exact"),
         ("optimize", "--grid", "8"),
+        ("validate",),
     ),
     "nine_elements.net": (("weak",), ("optimize",)),
     "overflow_mu1419.net": (("simulate",), ("weak",)),

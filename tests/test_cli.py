@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pmdpdl import cli
@@ -298,6 +299,37 @@ class TestValidate:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--bound-factor", "nan"),
+            ("--bound-factor", "-1"),
+            ("--bound-factor", "0"),
+            ("--bound-factor", "inf"),
+            ("--ratios", "nan"),
+            ("--ratios", "inf"),
+            ("--ratios", "1e-2,-1e-3"),
+            ("--ratios", "nope"),
+        ],
+    )
+    def test_bad_flag_is_named_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        code, out, err = run_cli(capsys, "validate", write(tmp_path, SINGLE_PMD), flag, value)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"usage error: {flag} must be finite and > 0, got ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL + "polarizer theta=0 phi=0\npolarizer theta=3.141592653589793 phi=0\n",
+            "pulse tc=1\ninput theta=0 phi=0\n"
+            "pdl axis=1,0,0 mu=800\npdl axis=-1,0,0 mu=800\n",
+        ],
+    )
+    def test_physics_error_writes_nothing(self, tmp_path, capsys, text):
+        code, out, err = run_cli(capsys, "validate", write(tmp_path, text))
+        assert (code, out) == (3, "")
+        assert err.startswith("physics error: ")
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -314,6 +346,12 @@ class TestUsage:
         assert code == 4
         assert "usage error" in err
 
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_optimize_degenerate_grid(self, tmp_path, capsys, grid):
+        code, out, err = run_cli(capsys, "optimize", write(tmp_path, SINGLE_PMD), "--grid", grid)
+        assert (code, out) == (4, "")
+        assert err == f"usage error: grid_size must be >= 2, got {grid}\n"
+
     def test_optimize_without_elements(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "optimize", write(tmp_path, MINIMAL))
         assert code == 4
@@ -328,40 +366,45 @@ def old_layout(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
+def sphere_rows(thetas, phis, values):
+    """(theta, phi, value) rows of a sphere sweep, theta-major."""
+    return [(t, p, v) for t, row in zip(thetas, values) for p, v in zip(phis, row)]
+
+
 class TestCsvBytes:
     """Every CSV equals the per-row layout rebuilt from the library results,
     byte for byte."""
 
     def test_linear_sweep_weak(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "sweep", write(tmp_path, FIVE_ELEMENT), "--grid", "50")
-        rows = sweep_polarization(parse_network(FIVE_ELEMENT), 50).rows
+        phis, t_weak, _ = sweep_polarization(parse_network(FIVE_ELEMENT), 50)
         assert code == 0
-        assert out == old_layout("phi,t_weak", [(r.phi, r.t_weak) for r in rows])
+        assert out == old_layout("phi,t_weak", zip(phis, t_weak))
 
     def test_linear_sweep_exact(self, tmp_path, capsys):
         path = write(tmp_path, BLOCKING)
         code, out, _ = run_cli(capsys, "sweep", path, "--grid", "8", "--engine", "exact")
-        rows = sweep_polarization(parse_network(BLOCKING), 8, include_exact=True).rows
+        phis, t_weak, t_exact = sweep_polarization(parse_network(BLOCKING), 8, include_exact=True)
         assert code == 0
-        assert out == old_layout("phi,t_weak,t_exact", [(r.phi, r.t_weak, r.t_exact) for r in rows])
+        assert out == old_layout("phi,t_weak,t_exact", zip(phis, t_weak, t_exact))
         assert out.count("nan,nan") == 1
 
     def test_sphere_weak_with_blocked_rows(self, tmp_path, capsys):
         path = write(tmp_path, BLOCKING)
         code, out, _ = run_cli(capsys, "sweep", path, "--sphere", "--theta-grid", "9", "--grid", "12")
-        rows = sweep_sphere(parse_network(BLOCKING), 9, 12, engine="weak")
+        thetas, phis, values = sweep_sphere(parse_network(BLOCKING), 9, 12, engine="weak")
         assert code == 0
-        assert out == old_layout("theta,phi,t_weak", rows)
-        assert sum(math.isnan(row[2]) for row in rows) == 12
+        assert out == old_layout("theta,phi,t_weak", sphere_rows(thetas, phis, values))
+        assert np.isnan(values).sum() == 12
 
     def test_sphere_exact(self, tmp_path, capsys):
         path = write(tmp_path, BLOCKING)
         code, out, _ = run_cli(
             capsys, "sweep", path, "--sphere", "--engine", "exact", "--theta-grid", "3", "--grid", "4"
         )
-        rows = sweep_sphere(parse_network(BLOCKING), 3, 4, engine="exact")
+        thetas, phis, values = sweep_sphere(parse_network(BLOCKING), 3, 4, engine="exact")
         assert code == 0
-        assert out == old_layout("theta,phi,t_exact", rows)
+        assert out == old_layout("theta,phi,t_exact", sphere_rows(thetas, phis, values))
         assert "nan" in out
 
     def test_simulate_intensity(self, tmp_path, capsys):

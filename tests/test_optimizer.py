@@ -33,40 +33,49 @@ def chain_spec(*elements) -> NetworkSpec:
 class TestSweepPolarization:
     def test_single_pmd_is_cosine(self):
         dgd = 0.8
-        result = sweep_polarization(chain_spec(Pmd(AXIS_Z, dgd)), grid_size=36)
-        for row in result.rows:
-            assert row.t_weak == pytest.approx((dgd / 2) * math.cos(row.phi), abs=1e-12)
-        phi_star, best = result.extremum("max")
-        assert phi_star == 0.0
-        assert best == pytest.approx(dgd / 2, abs=1e-12)
+        phis, t_weak, _ = sweep_polarization(chain_spec(Pmd(AXIS_Z, dgd)), grid_size=36)
+        for phi, t in zip(phis, t_weak):
+            assert t == pytest.approx((dgd / 2) * math.cos(phi), abs=1e-12)
+        best = np.nanargmax(t_weak)
+        assert phis[best] == 0.0
+        assert t_weak[best] == pytest.approx(dgd / 2, abs=1e-12)
 
     def test_rows_cover_grid_in_order(self):
-        result = sweep_polarization(chain_spec(Pmd(AXIS_Z, 1.0)), grid_size=100)
-        phis = [row.phi for row in result.rows]
+        phis, _, _ = sweep_polarization(chain_spec(Pmd(AXIS_Z, 1.0)), grid_size=100)
         assert len(phis) == 100
         assert all(b > a for a, b in zip(phis, phis[1:]))
         assert phis[0] == 0.0 and phis[-1] < 2 * math.pi
 
     def test_delay_plus_transverse_filter_maximum(self):
         dgd, mu = 1.0, 1.0
-        result = sweep_polarization(chain_spec(Pmd(AXIS_Z, dgd), Pdl(AXIS_X, mu)), 721)
-        _, best = result.extremum("max")
-        assert best == pytest.approx((dgd / 2) * math.cosh(mu), abs=1e-4)
+        _, t_weak, _ = sweep_polarization(chain_spec(Pmd(AXIS_Z, dgd), Pdl(AXIS_X, mu)), 721)
+        assert np.nanmax(t_weak) == pytest.approx((dgd / 2) * math.cosh(mu), abs=1e-4)
 
     def test_blocked_rows_flagged_not_fatal(self):
-        result = sweep_polarization(chain_spec(Polarizer(JONES_V)), grid_size=8)
-        flags = [row.blocked for row in result.rows]
-        assert flags[0] is True  # phi = 0 is pure H, fully crossed
-        assert any(not f for f in flags)
-        assert math.isnan(result.rows[0].t_weak)
+        _, t_weak, t_exact = sweep_polarization(chain_spec(Polarizer(JONES_V)), grid_size=8)
+        blocked = np.isnan(t_weak)
+        assert blocked[0]  # phi = 0 is pure H, fully crossed
+        assert not blocked.all()
+        assert t_exact is None
 
     def test_include_exact_column(self):
-        result = sweep_polarization(
+        _, t_weak, t_exact = sweep_polarization(
             chain_spec(Pmd(AXIS_Z, 0.01), Pdl(AXIS_X, 1.0)), 16, include_exact=True
         )
-        for row in result.rows:
-            assert row.t_exact is not None
-            assert row.t_exact == pytest.approx(row.t_weak, abs=5 * 0.01 * 0.01**2)
+        assert t_exact is not None and len(t_exact) == len(t_weak) == 16
+        for weak, exact in zip(t_weak, t_exact):
+            assert exact == pytest.approx(weak, abs=5 * 0.01 * 0.01**2)
+
+    @pytest.mark.parametrize("grid_size", [1, 0, -3])
+    def test_grid_needs_two_points(self, grid_size):
+        spec = chain_spec(Pmd(AXIS_Z, 1.0))
+        message = f"grid_size must be >= 2, got {grid_size}"
+        with pytest.raises(ValueError, match=message):
+            sweep_polarization(spec, grid_size)
+        with pytest.raises(ValueError, match=message):
+            extremal_polarization(spec, grid_size)
+        with pytest.raises(ValueError, match=message):
+            optimize_arrangement(spec.elements, grid_size=grid_size)
 
 
 class TestExtremalPolarization:
@@ -80,7 +89,7 @@ class TestExtremalPolarization:
         spec = chain_spec(Pmd(AXIS_Z, 1.0), Pdl(AXIS_X, 1.0))
         closed = 0.5 * math.cosh(1.0)
         errors = {
-            g: closed - sweep_polarization(spec, g).extremum("max")[1]
+            g: closed - np.nanmax(sweep_polarization(spec, g)[1])
             for g in (90, 180, 360, 720)
         }
         assert errors[180] <= errors[90] / 2
@@ -101,17 +110,24 @@ class TestExtremalPolarization:
 
 class TestSweepSphere:
     def test_grid_shape(self):
-        rows = sweep_sphere(chain_spec(Pmd(AXIS_Z, 1.0)), n_theta=7, n_phi=12)
-        assert len(rows) == 7 * 12
-        assert rows[0][:2] == (0.0, 0.0)
+        thetas, phis, values = sweep_sphere(chain_spec(Pmd(AXIS_Z, 1.0)), n_theta=7, n_phi=12)
+        assert values.shape == (7, 12)
+        assert (thetas[0], phis[0]) == (0.0, 0.0)
+        assert thetas[-1] == math.pi and phis[-1] < 2 * math.pi
 
     def test_weak_and_exact_grids_agree(self):
         spec = chain_spec(Pmd(AXIS_Z, 1e-3), Pdl(AXIS_X, 0.8))
-        weak_rows = sweep_sphere(spec, 5, 8, engine="weak")
-        exact_rows = sweep_sphere(spec, 5, 8, engine="exact")
-        for (t1, p1, v1), (t2, p2, v2) in zip(weak_rows, exact_rows):
-            assert (t1, p1) == (t2, p2)
+        weak_thetas, weak_phis, weak = sweep_sphere(spec, 5, 8, engine="weak")
+        exact_thetas, exact_phis, exact = sweep_sphere(spec, 5, 8, engine="exact")
+        assert np.array_equal(weak_thetas, exact_thetas)
+        assert np.array_equal(weak_phis, exact_phis)
+        for v1, v2 in zip(weak.ravel(), exact.ravel()):
             assert v2 == pytest.approx(v1, abs=1e-8)
+
+    @pytest.mark.parametrize("n_theta, n_phi, name", [(1, 8, "n_theta"), (5, 0, "n_phi")])
+    def test_grid_needs_two_points(self, n_theta, n_phi, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 2"):
+            sweep_sphere(chain_spec(Pmd(AXIS_Z, 1.0)), n_theta, n_phi)
 
 
 class TestExtremalSphere:

@@ -60,6 +60,14 @@ class TestJonesFromAngles:
             assert abs(t2 - theta) < 1e-12
             assert abs((p2 - phi + math.pi) % (2 * math.pi) - math.pi) < 1e-12
 
+    def test_phi_is_wrapped_into_zero_two_pi(self):
+        # v lags h by 0.5 rad: the raw phase difference is -0.5, reported as 2 pi - 0.5
+        state = JonesVector(1.0, complex(np.exp(-0.5j))).normalized()
+        theta, phi = jones_angles(state)
+        assert theta == pytest.approx(math.pi / 2, abs=1e-15)
+        assert phi == pytest.approx(2 * math.pi - 0.5, abs=1e-15)
+        assert 0.0 <= phi < 2 * math.pi
+
 
 class TestAxis3:
     def test_normalizes(self):

@@ -396,6 +396,15 @@ class TestPspPair:
             assert abs(overlap) == pytest.approx(direct, rel=1e-12)
             assert abs(overlap) == pytest.approx(math.tanh(mu), rel=1e-12)
 
+    def test_overlap_is_slow_bra_fast_ket(self):
+        # a filter on y mixes the z eigenmodes with a quarter-wave phase:
+        # <slow|fast> = i tanh(mu), and the conjugate order would give -i tanh(mu)
+        for mu in (0.3, 1.0, 2.0):
+            fast, slow, overlap = psp_pair((Pdl(AXIS_Y, mu),))
+            assert overlap == slow.inner(fast)
+            assert overlap.real == pytest.approx(0.0, abs=1e-15)
+            assert overlap.imag == pytest.approx(math.tanh(mu), rel=1e-12)
+
     def test_general_axis_overlap_modulus(self):
         rng = np.random.default_rng(44)
         for _ in range(10):
